@@ -21,9 +21,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz smoke over the parser targets and the batch-vs-sequential
-# pricing differential (one -fuzz per invocation, a Go toolchain
-# constraint).
+# Short fuzz smoke over the parser targets, the batch-vs-sequential
+# pricing differential and the canonical key encoder (one -fuzz per
+# invocation, a Go toolchain constraint).
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/
@@ -32,6 +32,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzPriceBatch -fuzztime=10s -run xxx ./internal/core/
 	$(GO) test -fuzz=FuzzPartitionDAG -fuzztime=10s -run xxx ./internal/netsched/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s -run xxx ./internal/fleet/
+	$(GO) test -fuzz=FuzzCanonicalKey -fuzztime=10s -run xxx ./internal/canon/
 
 # One pass over the figure/table benchmarks plus the service benchmarks.
 bench:

@@ -524,3 +524,13 @@ func BenchmarkProfileVsAnalyze(b *testing.B) {
 		}
 	})
 }
+
+// TestProfileKeyAllocs pins the profile key's cost: the one augmented
+// directive list is its only allocation, since the canonical encoding
+// builds on the stack and hashes without formatting.
+func TestProfileKeyAllocs(t *testing.T) {
+	df, layer := dataflows.Get("YR-P"), equivLayers(t)[1]
+	if n := testing.AllocsPerRun(100, func() { profileKey(df, layer, 64) }); n > 1 {
+		t.Errorf("profileKey allocates %v times per call, want at most 1", n)
+	}
+}

@@ -3,12 +3,11 @@ package core
 import (
 	"container/list"
 	"context"
-	"crypto/sha256"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/canon"
 	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/obs"
@@ -25,25 +24,22 @@ type ProfileKey [32]byte
 // layer name is echoed in reports; the hardware beyond NumPEs is
 // deliberately absent — that is the point of the split.
 func profileKey(df dataflow.Dataflow, layer tensor.Layer, numPEs int) ProfileKey {
-	var b strings.Builder
-	fmt.Fprintf(&b, "profile|pes=%d\nlayer|%s|op=%s|", numPEs, layer.Name, layer.Op)
-	for _, d := range tensor.AllDims() {
-		fmt.Fprintf(&b, "%s=%d,", d, layer.Sizes.Get(d))
-	}
-	fmt.Fprintf(&b, "|sy=%d|sx=%d|den=%g,%g,%g\n",
-		layer.StrideY, layer.StrideX,
-		layer.Density[tensor.Input], layer.Density[tensor.Weight], layer.Density[tensor.Output])
-	aug := dataflow.Augment(df, layer)
-	fmt.Fprintf(&b, "dataflow|%s|\n%s", aug.Name, aug.String())
-	return sha256.Sum256([]byte(b.String()))
+	return ProfileKeyFor(dataflow.Augment(df, layer), layer, numPEs)
 }
 
-// ProfileKeyFor exposes the canonical profile identity of a
-// (dataflow, layer, numPEs) triple. Callers holding many requests use it
-// to group the ones that share a profile — such groups price in a single
-// PriceBatch walk (see AnalyzeDataflowCachedBatchCtx).
-func ProfileKeyFor(df dataflow.Dataflow, layer tensor.Layer, numPEs int) ProfileKey {
-	return profileKey(df, layer, numPEs)
+// ProfileKeyFor is the canonical profile identity of a (dataflow,
+// layer, numPEs) triple, given the dataflow already augmented
+// (aug = dataflow.Augment(df, layer)): the key ProfileCache files that
+// profile under. Callers holding many requests use it to group the ones
+// that share a profile — such groups price in a single PriceBatch walk
+// (see AnalyzeDataflowCachedBatchCtx) — and reuse the augmented form
+// they hash for their own keys.
+func ProfileKeyFor(aug dataflow.Dataflow, layer tensor.Layer, numPEs int) ProfileKey {
+	b := canon.AppendString(make([]byte, 0, canon.Size), "profile")
+	b = canon.AppendInt(b, int64(numPEs))
+	b = canon.AppendLayer(b, layer)
+	b = canon.AppendDataflow(b, aug)
+	return canon.Sum(b)
 }
 
 const profileShards = 16

@@ -15,23 +15,39 @@ import "repro/internal/tensor"
 // The analysis service hashes this form for its result cache.
 func Augment(df Dataflow, layer tensor.Layer) Dataflow {
 	layer = layer.Normalize()
-	out := Dataflow{Name: df.Name}
-	levels, clusterSizes := df.Levels()
-	for i, dirs := range levels {
-		mentioned := tensor.DimSet(0)
-		for _, d := range dirs {
-			out.Directives = append(out.Directives, d)
-			mentioned = mentioned.Add(d.Dim)
-		}
-		for _, d := range tensor.AllDims() {
-			if !mentioned.Has(d) {
-				sz := Lit(layer.Sizes.Get(d))
-				out.Directives = append(out.Directives, TMap(sz, sz, d))
-			}
-		}
-		if i < len(clusterSizes) {
-			out.Directives = append(out.Directives, ClusterOf(clusterSizes[i]))
+	levels := 1
+	for _, d := range df.Directives {
+		if d.IsCluster {
+			levels++
 		}
 	}
+	out := Dataflow{
+		Name:       df.Name,
+		Directives: make([]Directive, 0, len(df.Directives)+levels*int(tensor.NumDims)),
+	}
+	mentioned := tensor.DimSet(0)
+	for _, d := range df.Directives {
+		if d.IsCluster {
+			out.Directives = appendImplicit(out.Directives, mentioned, layer)
+			out.Directives = append(out.Directives, ClusterOf(d.Size))
+			mentioned = 0
+			continue
+		}
+		out.Directives = append(out.Directives, d)
+		mentioned = mentioned.Add(d.Dim)
+	}
+	out.Directives = appendImplicit(out.Directives, mentioned, layer)
 	return out
+}
+
+// appendImplicit closes one cluster level: every dimension the level
+// does not mention gets a full-extent single-chunk temporal map.
+func appendImplicit(dirs []Directive, mentioned tensor.DimSet, layer tensor.Layer) []Directive {
+	for d := tensor.Dim(0); d < tensor.NumDims; d++ {
+		if !mentioned.Has(d) {
+			sz := Lit(layer.Sizes.Get(d))
+			dirs = append(dirs, TMap(sz, sz, d))
+		}
+	}
+	return dirs
 }

@@ -169,6 +169,35 @@ func (df Dataflow) String() string {
 	return b.String()
 }
 
+// Clone returns a deep copy of df that shares no slice with it, so
+// either may be modified without affecting the other. The copy's size
+// terms share one backing array, each expression capped to its own
+// terms, so a copy costs two allocations.
+func (df Dataflow) Clone() Dataflow {
+	if df.Directives == nil {
+		return df
+	}
+	n := 0
+	for _, d := range df.Directives {
+		n += len(d.Size.Terms) + len(d.Offset.Terms)
+	}
+	terms := make([]SizeTerm, 0, n)
+	clone := func(e SizeExpr) SizeExpr {
+		if e.Terms != nil {
+			start := len(terms)
+			terms = append(terms, e.Terms...)
+			e.Terms = terms[start:len(terms):len(terms)]
+		}
+		return e
+	}
+	out := Dataflow{Name: df.Name, Directives: make([]Directive, len(df.Directives))}
+	for i, d := range df.Directives {
+		d.Size, d.Offset = clone(d.Size), clone(d.Offset)
+		out.Directives[i] = d
+	}
+	return out
+}
+
 // Levels splits the directive list into cluster levels: level 0 holds the
 // directives above the first Cluster directive, and so on. The returned
 // cluster sizes have one entry per Cluster directive (len(levels)-1).

@@ -106,16 +106,19 @@ func (lx *lexer) next() (token, error) {
 	return token{kind: tokEOF, line: lx.line}, nil
 }
 
+// single maps each one-character punctuation token to its kind; zero
+// (tokEOF) marks every other byte.
+var single = [256]tokKind{
+	'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
+	',': tokComma, ';': tokSemi, ':': tokColon,
+	'+': tokPlus, '-': tokMinus, '*': tokStar,
+}
+
 func (lx *lexer) scan() (token, error) {
 	c := lx.src[lx.pos]
-	single := map[byte]tokKind{
-		'(': tokLParen, ')': tokRParen, '{': tokLBrace, '}': tokRBrace,
-		',': tokComma, ';': tokSemi, ':': tokColon,
-		'+': tokPlus, '-': tokMinus, '*': tokStar,
-	}
-	if k, ok := single[c]; ok {
+	if k := single[c]; k != tokEOF {
 		lx.pos++
-		return token{kind: k, text: string(c), line: lx.line}, nil
+		return token{kind: k, text: lx.src[lx.pos-1 : lx.pos], line: lx.line}, nil
 	}
 	if c >= '0' && c <= '9' {
 		start := lx.pos

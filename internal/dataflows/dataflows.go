@@ -5,6 +5,8 @@
 package dataflows
 
 import (
+	"sync"
+
 	"repro/internal/dataflow"
 )
 
@@ -71,18 +73,29 @@ var Sources = map[string]string{
 // Names lists the dataflows in the paper's plotting order.
 var Names = []string{"C-P", "X-P", "YX-P", "YR-P", "KC-P"}
 
-// Get parses and returns the named Table 3 dataflow. Unknown names panic:
+// interned holds every Table 3 dataflow, parsed once on first use.
+// Its values are shared and never handed out: Get returns clones.
+var interned = sync.OnceValue(func() map[string]dataflow.Dataflow {
+	out := make(map[string]dataflow.Dataflow, len(Sources))
+	for name, src := range Sources {
+		df, err := dataflow.ParseDataflow(name, src)
+		if err != nil {
+			panic("dataflows: bad built-in definition " + name + ": " + err.Error())
+		}
+		out[name] = df
+	}
+	return out
+})
+
+// Get returns the named Table 3 dataflow. The definitions parse once;
+// each call returns the caller's own deep copy. Unknown names panic:
 // the definitions are compile-time constants of this package.
 func Get(name string) dataflow.Dataflow {
-	src, ok := Sources[name]
+	df, ok := interned()[name]
 	if !ok {
 		panic("dataflows: unknown dataflow " + name)
 	}
-	df, err := dataflow.ParseDataflow(name, src)
-	if err != nil {
-		panic("dataflows: bad built-in definition " + name + ": " + err.Error())
-	}
-	return df
+	return df.Clone()
 }
 
 // All returns the five dataflows in plotting order.

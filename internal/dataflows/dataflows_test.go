@@ -1,9 +1,13 @@
 package dataflows
 
 import (
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -173,4 +177,86 @@ func TestTemplatesMatchBase(t *testing.T) {
 			t.Errorf("%s != %s: runtime %d vs %d", name, p.base, sized.Runtime, base.Runtime)
 		}
 	}
+}
+
+// TestGetIsolation checks that Get hands out independent copies of the
+// interned dataflows: mutating one, through any of its slices, never
+// shows in the next call's result, and appending to one size expression
+// never overwrites its neighbour in the shared term array.
+func TestGetIsolation(t *testing.T) {
+	for _, name := range Names {
+		want, err := dataflow.ParseDataflow(name, Sources[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := Get(name)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: Get differs from a fresh parse", name)
+		}
+		for i := range got.Directives {
+			d := &got.Directives[i]
+			d.Size.Terms = append(d.Size.Terms, dataflow.SizeTerm{Dim: tensor.N, Coef: 9})
+		}
+		for i, d := range got.Directives {
+			if w := want.Directives[i]; !slices.Equal(d.Offset.Terms, w.Offset.Terms) ||
+				!slices.Equal(d.Size.Terms[:len(w.Size.Terms)], w.Size.Terms) {
+				t.Fatalf("%s: appending to one size expression overwrote another in the same copy", name)
+			}
+		}
+		for i := range got.Directives {
+			d := &got.Directives[i]
+			for j := range d.Offset.Terms {
+				d.Offset.Terms[j].Coef = -5
+			}
+			d.Size.Const, d.Dim = 99, tensor.N
+		}
+		got.Directives = append(got.Directives[:1], dataflow.ClusterOf(dataflow.Lit(3)))
+		got.Name = "mutated"
+		if again := Get(name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: mutating one Get result changed the next:\n%s\nwant\n%s", name, again, want)
+		}
+	}
+}
+
+// TestGetAllocs pins the interned lookup: a deep copy, no parse.
+func TestGetAllocs(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { Get("YX-P") }); n > 2 {
+		t.Errorf("Get allocates %v times per call, want at most 2", n)
+	}
+}
+
+// TestParseAllocs guards the lexer against per-token allocation: parsing
+// a Table 3 source costs a handful of slices, not one map per token.
+func TestParseAllocs(t *testing.T) {
+	src := Sources["KC-P"]
+	n := testing.AllocsPerRun(100, func() {
+		if _, err := dataflow.ParseDataflow("KC-P", src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 16 {
+		t.Errorf("ParseDataflow(KC-P) allocates %v times, want at most 16", n)
+	}
+}
+
+// TestGetConcurrent has goroutines fetch and write their own copies at
+// once; under -race it fails if any two copies share memory.
+func TestGetConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				df := Get(Names[i%len(Names)])
+				for j := range df.Directives {
+					df.Directives[j].Size.Const++
+					for k := range df.Directives[j].Size.Terms {
+						df.Directives[j].Size.Terms[k].Coef++
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

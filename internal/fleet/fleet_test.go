@@ -84,10 +84,12 @@ func fastFleet(hosts []string, hc *http.Client) Options {
 
 // fleetReq is the sweep the integration tests distribute: 8 (pe, p1)
 // cells over 32 raw designs, small enough for test time but wide
-// enough that every node serves shards.
+// enough that every node serves shards. Which node a shard prefers
+// follows from its route key's hash, so the layer is one whose four
+// shards the two-node ring splits; TestFleetReqSpreads pins that.
 func fleetReq() serve.DSERequest {
 	return serve.DSERequest{
-		Layer:    serve.LayerSpec{Model: "VGG16", Name: "CONV11"},
+		Layer:    serve.LayerSpec{Model: "VGG16", Name: "CONV13"},
 		Template: "KC-P",
 		P1:       []int{16, 64},
 		P2:       []int{8},
@@ -377,6 +379,33 @@ func TestSweepShardsHugeSpaceUnderCap(t *testing.T) {
 	}
 	if _, _, err := f.plan(big); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized inner grid err = %v, want per-shard cap refusal", err)
+	}
+}
+
+// TestFleetReqSpreads checks the integration tests' precondition: every
+// node of the two-node test fleet is the preferred node of at least one
+// fleetReq shard. Tracing, federation and straggler tests need work on
+// both nodes; a route-key change that leaves a node idle fails here
+// first, with the spread in the message.
+func TestFleetReqSpreads(t *testing.T) {
+	hosts, _, hc := newNodes(t, 2)
+	f, err := New(fastFleet(hosts, hc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	runs, _, err := f.plan(fleetReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	preferred := map[string]int{}
+	for _, sr := range runs {
+		preferred[sr.route[0]]++
+	}
+	for _, h := range hosts {
+		if preferred[h] == 0 {
+			t.Fatalf("fleetReq's %d shards route %v: %s serves none", len(runs), preferred, h)
+		}
 	}
 }
 

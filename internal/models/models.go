@@ -10,7 +10,9 @@ package models
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -427,11 +429,54 @@ func Zoo() []string {
 	return names
 }
 
-// ByName builds the named zoo model; ok is false for unknown names.
+// zooIndex is the zoo built once: every registry model, and per model
+// an index from layer name to the first layer of that name.
+type zooIndex struct {
+	models map[string]Model
+	layers map[string]map[string]LayerInst
+}
+
+// zoo builds the index on first use. Its values are shared and never
+// handed out: ByName returns clones.
+var zoo = sync.OnceValue(func() zooIndex {
+	z := zooIndex{
+		models: make(map[string]Model, len(registry)),
+		layers: make(map[string]map[string]LayerInst, len(registry)),
+	}
+	for name, ctor := range registry {
+		m := ctor()
+		idx := make(map[string]LayerInst, len(m.Layers))
+		for _, li := range m.Layers {
+			if _, dup := idx[li.Layer.Name]; !dup {
+				idx[li.Layer.Name] = li
+			}
+		}
+		z.models[name], z.layers[name] = m, idx
+	}
+	return z
+})
+
+// ByName returns the named zoo model; ok is false for unknown names.
+// The zoo builds once; each call returns the caller's own copy.
 func ByName(name string) (Model, bool) {
-	ctor, ok := registry[name]
+	m, ok := zoo().models[name]
 	if !ok {
 		return Model{}, false
 	}
-	return ctor(), true
+	return m.Clone(), true
+}
+
+// ZooLayer returns the first layer named layer in the named zoo model —
+// what ByName(model) then Find(layer) return — without building or
+// copying the model. ok is false when either name is unknown.
+func ZooLayer(model, layer string) (LayerInst, bool) {
+	li, ok := zoo().layers[model][layer]
+	return li, ok
+}
+
+// Clone returns a copy of m that shares no slice with it.
+func (m Model) Clone() Model {
+	m.Layers = slices.Clone(m.Layers)
+	m.Edges = slices.Clone(m.Edges)
+	return m
 }

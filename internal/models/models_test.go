@@ -1,6 +1,8 @@
 package models
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -155,4 +157,77 @@ func TestGoogLeNet(t *testing.T) {
 	if !ok || inc.Layer.Sizes.Get(tensor.K) != 128 {
 		t.Errorf("INC3a_3x3 = %+v", inc.Layer)
 	}
+}
+
+// TestByNameIsolation checks that ByName hands out independent copies
+// of the interned zoo: mutating one never shows in the next call.
+func TestByNameIsolation(t *testing.T) {
+	for name, ctor := range registry {
+		want := ctor()
+		m, ok := ByName(name)
+		if !ok || !reflect.DeepEqual(m, want) {
+			t.Fatalf("%s: ByName differs from a fresh build", name)
+		}
+		for i := range m.Layers {
+			m.Layers[i].Count += 7
+			m.Layers[i].Layer.Name += "'"
+			m.Layers[i].Layer.Sizes[tensor.K]++
+		}
+		for i := range m.Edges {
+			m.Edges[i].From++
+		}
+		m.Layers = append(m.Layers[:1], m.Layers[0])
+		if again, _ := ByName(name); !reflect.DeepEqual(again, want) {
+			t.Fatalf("%s: mutating one ByName result changed the next", name)
+		}
+	}
+}
+
+// TestZooLayerMatchesFind checks the interned layer index against the
+// model's own lookup, for every layer name of every zoo model.
+func TestZooLayerMatchesFind(t *testing.T) {
+	for _, name := range Zoo() {
+		m, ok := ByName(name)
+		if !ok {
+			t.Fatalf("%s: listed by Zoo but unknown to ByName", name)
+		}
+		for _, li := range m.Layers {
+			want, _ := m.Find(li.Layer.Name)
+			got, ok := ZooLayer(name, li.Layer.Name)
+			if !ok || got != want {
+				t.Fatalf("%s/%s: ZooLayer = %+v, %v; Find = %+v", name, li.Layer.Name, got, ok, want)
+			}
+		}
+		if _, ok := ZooLayer(name, "no-such-layer"); ok {
+			t.Errorf("%s: ZooLayer found a layer that does not exist", name)
+		}
+	}
+	if _, ok := ZooLayer("no-such-model", "CONV1"); ok {
+		t.Error("ZooLayer found a layer of an unknown model")
+	}
+}
+
+// TestByNameConcurrent has goroutines fetch and write their own copies
+// at once; under -race it fails if any two copies share memory.
+func TestByNameConcurrent(t *testing.T) {
+	names := Zoo()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				name := names[i%len(names)]
+				m, _ := ByName(name)
+				for j := range m.Layers {
+					m.Layers[j].Count++
+				}
+				for j := range m.Edges {
+					m.Edges[j].To++
+				}
+				ZooLayer(name, m.Layers[0].Layer.Name)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"testing"
+
+	"repro/internal/dataflow"
 )
 
 // Benchmarks compare the service's cached and uncached analyze paths.
@@ -81,7 +83,7 @@ func BenchmarkCanonicalKey(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = canonicalKey(r)
+		_ = canonicalKey(r, dataflow.Augment(r.df, r.layer))
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/dataflow"
 )
 
 func keyOf(n int) Key {
@@ -291,7 +294,7 @@ func TestCanonicalKeyProperties(t *testing.T) {
 		if err != nil {
 			t.Fatalf("resolve: %v", err)
 		}
-		return canonicalKey(r)
+		return canonicalKey(r, dataflow.Augment(r.df, r.layer))
 	}
 	k0 := keyFor(base)
 
@@ -338,5 +341,27 @@ func TestKeyString(t *testing.T) {
 	s := k.String()
 	if len(s) != 64 || !strings.HasPrefix(s, fmt.Sprintf("%02x", k[0])) {
 		t.Errorf("Key.String() = %q", s)
+	}
+}
+
+// TestAnalyzeCachedAllocs pins the cache-hit path BenchmarkAnalyzeCached
+// measures (resolve, augment, key, lookup, response copy): interned
+// dataflows and models and the stack-built binary key keep it to a
+// handful of allocations, where re-parsing and fmt keys cost hundreds.
+func TestAnalyzeCachedAllocs(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	ctx := context.Background()
+	if _, err := s.analyzeOne(ctx, benchReq(false)); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(200, func() {
+		resp, err := s.analyzeOne(ctx, benchReq(false))
+		if err != nil || !resp.Cached {
+			t.Fatalf("want a cache hit, got %+v, %v", resp, err)
+		}
+	})
+	if n > 8 {
+		t.Errorf("cache hit allocates %v times, want at most 8", n)
 	}
 }

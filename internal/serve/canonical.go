@@ -1,72 +1,54 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"fmt"
-	"strings"
-
+	"repro/internal/canon"
 	"repro/internal/dataflow"
-	"repro/internal/hw"
 	"repro/internal/tensor"
 )
 
-// The canonicalizer turns a resolved request into a stable cache key:
-// the layer after normalization, the dataflow after augmentation
-// (implicit maps made explicit and re-emitted through the DSL, so any
-// surface spelling of the same mapping — builder vs DSL, whitespace,
-// named vs inline — hashes identically), and the hardware configuration
-// after normalization, rendered field by field in a fixed order and
-// hashed with SHA-256.
+// The canonicalizer turns a resolved request into a stable cache key
+// through the one binary encoder in package canon: the layer after
+// normalization, the dataflow after augmentation (implicit maps made
+// explicit, so any surface spelling of the same mapping — builder vs
+// DSL, whitespace, named vs inline — hashes identically), and the
+// hardware configuration after normalization. Each key kind starts
+// with its own tag, so analyze, DSE and fusion entries never collide in
+// the shared result cache.
 
-func canonicalLayer(b *strings.Builder, l tensor.Layer) {
-	fmt.Fprintf(b, "layer|%s|op=%s|", l.Name, l.Op)
-	for _, d := range tensor.AllDims() {
-		fmt.Fprintf(b, "%s=%d,", d, l.Sizes.Get(d))
-	}
-	fmt.Fprintf(b, "|sy=%d|sx=%d|den=%g,%g,%g\n",
-		l.StrideY, l.StrideX,
-		l.Density[tensor.Input], l.Density[tensor.Weight], l.Density[tensor.Output])
-}
-
-func canonicalHW(b *strings.Builder, cfg hw.Config) {
-	fmt.Fprintf(b, "hw|pes=%d|vw=%d|l1=%d|l2=%d|off=%g|eb=%d|clk=%g|sparse=%t|",
-		cfg.NumPEs, cfg.VectorWidth, cfg.L1Size, cfg.L2Size,
-		cfg.OffchipBandwidth, cfg.ElemBytes, cfg.ClockGHz, cfg.SparseImbalance)
-	for _, m := range cfg.NoCs {
-		fmt.Fprintf(b, "noc:bw=%g,lat=%d,mc=%t,red=%t,ch=%d;",
-			m.Bandwidth, m.AvgLatency, m.Multicast, m.Reduction, m.Channels)
-	}
-	b.WriteByte('\n')
-}
-
-// canonicalKey hashes the canonical encoding of a resolved analysis
-// request. The hardware Name and NoC Names are presentation-only and
-// excluded; the layer and dataflow names are kept because responses
-// echo them.
-func canonicalKey(r resolved) Key {
-	var b strings.Builder
-	canonicalLayer(&b, r.layer)
-	aug := dataflow.Augment(r.df, r.layer)
-	fmt.Fprintf(&b, "dataflow|%s|\n%s", aug.Name, aug.String())
-	canonicalHW(&b, r.cfg)
-	return sha256.Sum256([]byte(b.String()))
+// canonicalKey hashes a resolved analysis request, given its dataflow
+// augmented against its layer (aug = dataflow.Augment(r.df, r.layer)).
+// The hardware Name and NoC Names are presentation-only and excluded;
+// the layer and dataflow names are kept because responses echo them.
+func canonicalKey(r resolved, aug dataflow.Dataflow) Key {
+	b := canon.AppendString(make([]byte, 0, canon.Size), "analyze")
+	b = canon.AppendLayer(b, r.layer)
+	b = canon.AppendDataflow(b, aug)
+	b = canon.AppendHW(b, r.cfg)
+	return canon.Sum(b)
 }
 
 // canonicalDSEKey hashes a DSE request's canonical encoding. The shard
 // descriptor participates: a shard-scoped request computes a different
 // space than the full sweep and must never share its cache entry.
 func canonicalDSEKey(layer tensor.Layer, req DSERequest) Key {
-	var b strings.Builder
-	b.WriteString("dse\n")
-	canonicalLayer(&b, layer)
-	fmt.Fprintf(&b, "tmpl=%s|p1=%v|p2=%v|pes=%v|bws=%v|l1=%v|l2=%v|area=%g|power=%g|topk=%d\n",
-		req.Template, req.P1, req.P2, req.PEs, req.BWs,
-		req.L1Grid, req.L2Grid, req.AreaBudgetMM2, req.PowerBudgetMW, req.TopK)
+	b := canon.AppendString(make([]byte, 0, canon.Size), "dse")
+	b = canon.AppendLayer(b, layer)
+	b = canon.AppendString(b, req.Template)
+	b = canon.AppendInts(b, req.P1)
+	b = canon.AppendInts(b, req.P2)
+	b = canon.AppendInts(b, req.PEs)
+	b = canon.AppendFloats(b, req.BWs)
+	b = canon.AppendInts(b, req.L1Grid)
+	b = canon.AppendInts(b, req.L2Grid)
+	b = canon.AppendFloat(b, req.AreaBudgetMM2)
+	b = canon.AppendFloat(b, req.PowerBudgetMW)
+	b = canon.AppendInt(b, int64(req.TopK))
+	b = canon.AppendBool(b, req.Shard != nil)
 	if sh := req.Shard; sh != nil {
-		fmt.Fprintf(&b, "shard|%d/%d|pe=[%d,%d]|maps=%v\n",
-			sh.Index, sh.Of, sh.PEMin, sh.PEMax, sh.Mappings)
+		b = canon.AppendInts(b, []int{sh.Index, sh.Of, sh.PEMin, sh.PEMax})
+		b = canon.AppendStrings(b, sh.Mappings)
 	}
-	return sha256.Sum256([]byte(b.String()))
+	return canon.Sum(b)
 }
 
 // DSERouteKey hashes the canonical (layer, template, PE set) triple the
@@ -76,11 +58,11 @@ func canonicalDSEKey(layer tensor.Layer, req DSERequest) Key {
 // of the same mapping family to the node whose ProfileCache already
 // holds the cluster walks, whatever the bandwidth or buffer axes say.
 func DSERouteKey(layer tensor.Layer, template string, pes []int) Key {
-	var b strings.Builder
-	b.WriteString("route\n")
-	canonicalLayer(&b, layer)
-	fmt.Fprintf(&b, "tmpl=%s|pes=%v\n", template, pes)
-	return sha256.Sum256([]byte(b.String()))
+	b := canon.AppendString(make([]byte, 0, canon.Size), "route")
+	b = canon.AppendLayer(b, layer)
+	b = canon.AppendString(b, template)
+	b = canon.AppendInts(b, pes)
+	return canon.Sum(b)
 }
 
 // ResolveLayerSpec converts a LayerSpec into a concrete, validated

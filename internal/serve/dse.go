@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataflow"
@@ -267,14 +266,12 @@ func pointJSON(p dse.Point) *DSEPointJSON {
 // and per-mapping spans below it (with the request's baggage, so every
 // worker span carries the request ID).
 func (s *Server) runDSETraced(ctx context.Context, req DSERequest, sp dse.Space) *DSEResponse {
-	start := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
+	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("layer", sp.Layer.Name), obs.String("template", sp.Template.Name))
 	sp.Ctx = ctx
 	resp := runDSE(req, sp)
-	span.SetAttr(obs.Int64("explored", resp.Explored))
-	span.End()
-	s.stageSeconds.With("compute").Observe(time.Since(start).Seconds())
+	ct.span.SetAttr(obs.Int64("explored", resp.Explored))
+	ct.end()
 	return resp
 }
 

@@ -2,12 +2,11 @@ package serve
 
 import (
 	"context"
-	"crypto/sha256"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
+	"repro/internal/canon"
 	"repro/internal/dse"
 	"repro/internal/hw"
 	"repro/internal/models"
@@ -154,27 +153,27 @@ func buildFusionSpace(req FusionRequest) (dse.FusionSpace, error) {
 
 // canonicalFusionKey hashes a fusion request's canonical encoding.
 func canonicalFusionKey(cfg hw.Config, req FusionRequest) Key {
-	var b strings.Builder
-	b.WriteString("fusion\n")
-	fmt.Fprintf(&b, "model=%s|df=%s|l2=%v|mgl=%v\n",
-		req.Model, req.Dataflow, req.L2Grid, req.MaxGroupLayers)
+	b := canon.AppendString(make([]byte, 0, canon.Size), "fusion")
+	b = canon.AppendString(b, req.Model)
+	b = canon.AppendString(b, req.Dataflow)
+	b = canon.AppendInts(b, req.L2Grid)
+	b = canon.AppendInts(b, req.MaxGroupLayers)
+	b = canon.AppendBool(b, req.Shard != nil)
 	if sh := req.Shard; sh != nil {
-		fmt.Fprintf(&b, "shard|%d/%d\n", sh.Index, sh.Of)
+		b = canon.AppendInts(b, []int{sh.Index, sh.Of})
 	}
-	canonicalHW(&b, cfg)
-	return sha256.Sum256([]byte(b.String()))
+	b = canon.AppendHW(b, cfg)
+	return canon.Sum(b)
 }
 
 // runFusionTraced runs the sweep inside ctx's span tree.
 func (s *Server) runFusionTraced(ctx context.Context, sp dse.FusionSpace) *FusionResponse {
-	start := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
+	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("model", sp.Model.Name), obs.String("template", sp.Dataflow))
 	sp.Ctx = ctx
 	resp := runFusion(sp)
-	span.SetAttr(obs.Int64("valid", resp.Valid))
-	span.End()
-	s.stageSeconds.With("compute").Observe(time.Since(start).Seconds())
+	ct.span.SetAttr(obs.Int64("valid", resp.Valid))
+	ct.end()
 	return resp
 }
 
@@ -227,12 +226,16 @@ func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
+	_, rt := s.startStage(r.Context(), stageResolve)
 	sp, err := buildFusionSpace(req)
+	rt.end()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
+	_, kt := s.startStage(r.Context(), stageKey)
 	key := canonicalFusionKey(sp.Cfg, req.WithDefaults())
+	kt.end()
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
 	defer cancel()
 
@@ -242,11 +245,9 @@ func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 		err    error
 	}
 	ch := make(chan outcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
+	_, qt := s.startStage(ctx, stageQueue)
 	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
+		qt.end()
 		if ctx.Err() != nil {
 			ch <- outcome{err: ctx.Err()}
 			return
@@ -268,9 +269,8 @@ func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 		ch <- outcome{resp: v.(*FusionResponse), cached: cached}
 	}
 	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
+		qt.span.SetAttr(obs.String("error", err.Error()))
+		qt.end()
 		s.writeError(w, r, err)
 		return
 	}
@@ -285,6 +285,6 @@ func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 		resp := *o.resp
 		resp.Key = key.String()
 		resp.Cached = o.cached
-		s.writeJSON(w, http.StatusOK, &resp)
+		s.writeJSON(w, r, http.StatusOK, &resp)
 	}
 }

@@ -43,6 +43,49 @@ func requestID(r *http.Request) string {
 	return hex.EncodeToString(b[:])
 }
 
+// stage is one timed step of the request pipeline: each has a
+// maestro_stage_seconds{stage=...} child and a serve.<stage> span, so a
+// traced request's latency breaks down with no unlabelled step.
+type stage uint8
+
+const (
+	stageResolve stage = iota // request to validated layer, dataflow, hardware
+	stageKey                  // canonical result-cache key
+	stageCache                // result-cache lookup
+	stageQueue                // pool submit to dequeue
+	stageCompute              // cost-model evaluation or sweep
+	stageEncode               // response JSON encoding
+	numStages
+)
+
+var stageNames = [numStages]string{"resolve", "key", "cache", "queue", "compute", "encode"}
+
+var stageSpans = [numStages]string{
+	"serve.resolve", "serve.key", "serve.cache", "serve.queue", "serve.compute", "serve.encode",
+}
+
+// stageTimer is one open stage; end it exactly once.
+type stageTimer struct {
+	span  *obs.Span
+	h     *Histogram
+	start time.Time
+}
+
+// startStage opens stage st under ctx's span. The returned context
+// parents the spans opened inside the stage.
+func (s *Server) startStage(ctx context.Context, st stage, attrs ...obs.Attr) (context.Context, stageTimer) {
+	ctx, span := obs.Start(ctx, stageSpans[st], attrs...)
+	return ctx, stageTimer{span: span, h: s.stages[st], start: time.Now()}
+}
+
+// end closes the stage's span, observes its duration and returns it.
+func (t stageTimer) end() time.Duration {
+	d := time.Since(t.start)
+	t.span.End()
+	t.h.Observe(d.Seconds())
+	return d
+}
+
 // endpointOf maps a request path to its metrics label.
 func endpointOf(path string) string {
 	switch path {
@@ -245,7 +288,7 @@ func (s *Server) handleTraceSegments(w http.ResponseWriter, r *http.Request) {
 			msg: "no segments buffered for trace " + id})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, SegmentsResponse{
+	s.writeJSON(w, r, http.StatusOK, SegmentsResponse{
 		TraceID: id,
 		Node:    s.opts.NodeName,
 		Dropped: dropped,

@@ -101,6 +101,9 @@ func TestAccessLogCarriesRequestID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET /v1/models: %v", err)
 	}
+	// The body ends only after the handler chain, access log included,
+	// has returned.
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 
 	out := buf.String()

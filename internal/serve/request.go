@@ -196,19 +196,17 @@ func presetNames() []string {
 // resolveLayer converts a LayerSpec to a concrete layer.
 func resolveLayer(ls LayerSpec) (tensor.Layer, error) {
 	if ls.Model != "" {
-		m, ok := models.ByName(ls.Model)
-		if !ok {
+		if li, ok := models.ZooLayer(ls.Model, ls.Name); ok {
+			return li.Layer, nil
+		}
+		if _, ok := models.ByName(ls.Model); !ok {
 			return tensor.Layer{}, badRequestf("unknown model %q (have %s)",
 				ls.Model, strings.Join(zooNames(), ", "))
 		}
 		if ls.Name == "" {
 			return tensor.Layer{}, badRequestf("model %q needs a layer name", ls.Model)
 		}
-		li, ok := m.Find(ls.Name)
-		if !ok {
-			return tensor.Layer{}, badRequestf("model %q has no layer %q", ls.Model, ls.Name)
-		}
-		return li.Layer, nil
+		return tensor.Layer{}, badRequestf("model %q has no layer %q", ls.Model, ls.Name)
 	}
 	op := tensor.Conv2D
 	if ls.Op != "" {

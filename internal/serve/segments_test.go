@@ -57,19 +57,7 @@ func TestTracedRequestBuffersSegments(t *testing.T) {
 		t.Fatalf("traced analyze: status %d", code)
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/trace/segments?trace=" + traceID)
-	if err != nil {
-		t.Fatalf("GET segments: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("segments: status %d: %s", resp.StatusCode, body)
-	}
-	var seg SegmentsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&seg); err != nil {
-		t.Fatalf("decode segments: %v", err)
-	}
+	seg := fetchSegments(t, ts.URL, traceID)
 	if seg.TraceID != traceID || seg.Node != "test-node" {
 		t.Errorf("segments identity = %q/%q, want %q/test-node", seg.TraceID, seg.Node, traceID)
 	}
@@ -98,6 +86,69 @@ func TestTracedRequestBuffersSegments(t *testing.T) {
 	if root.RemoteParent != obs.FormatSpanID(remoteSpan) {
 		t.Errorf("root remote parent = %q, want %q", root.RemoteParent, obs.FormatSpanID(remoteSpan))
 	}
+
+	// The same request again is a result-cache hit: every stage it
+	// passes through must be a child span of the request root, inside
+	// the root's window, and the compute path must be absent.
+	hitTrace := obs.NewTraceID()
+	if code := analyzeWithHeader(t, ts.URL, map[string]string{
+		"traceparent": traceparentFor(hitTrace, remoteSpan),
+	}); code != http.StatusOK {
+		t.Fatalf("traced hit: status %d", code)
+	}
+	hit := fetchSegments(t, ts.URL, hitTrace)
+	root = nil
+	for i, s := range hit.Spans {
+		if s.Name == "http.request" {
+			root = &hit.Spans[i]
+		}
+	}
+	if root == nil {
+		t.Fatal("no http.request root span in the hit's segment")
+	}
+	children := map[string]obs.SpanJSON{}
+	for _, s := range hit.Spans {
+		if s.Parent != root.ID {
+			continue
+		}
+		children[s.Name] = s
+		if s.StartUnixNs < root.StartUnixNs || s.EndUnixNs > root.EndUnixNs {
+			t.Errorf("%s [%d, %d] lies outside the request [%d, %d]",
+				s.Name, s.StartUnixNs, s.EndUnixNs, root.StartUnixNs, root.EndUnixNs)
+		}
+	}
+	for _, st := range []stage{stageResolve, stageKey, stageCache, stageEncode} {
+		if _, ok := children[stageSpans[st]]; !ok {
+			t.Errorf("hit has no %s child span; children %v", stageSpans[st], children)
+		}
+	}
+	if hit, _ := children["serve.cache"].Attrs["hit"].(bool); !hit {
+		t.Errorf("serve.cache span attrs %v, want hit=true", children["serve.cache"].Attrs)
+	}
+	for _, st := range []stage{stageQueue, stageCompute} {
+		if _, ok := children[stageSpans[st]]; ok {
+			t.Errorf("a cache hit ran the %s stage", stageNames[st])
+		}
+	}
+}
+
+// fetchSegments pulls one trace's buffered segment from a node.
+func fetchSegments(t *testing.T, url, traceID string) SegmentsResponse {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/trace/segments?trace=" + traceID)
+	if err != nil {
+		t.Fatalf("GET segments: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("segments: status %d: %s", resp.StatusCode, body)
+	}
+	var seg SegmentsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&seg); err != nil {
+		t.Fatalf("decode segments: %v", err)
+	}
+	return seg
 }
 
 // TestMalformedTraceparentIgnored is the sanitization regression test:

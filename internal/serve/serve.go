@@ -10,6 +10,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -131,8 +132,8 @@ type Server struct {
 	chaosInjected   *CounterVec // by kind: error / latency
 	latency         *Histogram
 	batchSize       *Histogram
-	stageSeconds    *HistogramVec // queue wait / cache lookup / compute
-	endpointSeconds *HistogramVec // end-to-end, by endpoint
+	stages          [numStages]*Histogram // maestro_stage_seconds children
+	endpointSeconds *HistogramVec         // end-to-end, by endpoint
 }
 
 // New builds a Server and starts its worker pool.
@@ -170,9 +171,12 @@ func New(opts Options) *Server {
 		"End-to-end request latency.", ExpBuckets(0.0001, 4, 10))
 	s.batchSize = s.reg.NewHistogram("maestro_batch_size",
 		"Requests per batch call.", ExpBuckets(1, 2, 10))
-	s.stageSeconds = s.reg.NewHistogramVec("maestro_stage_seconds",
-		"Per-stage request latency: queue wait, result-cache lookup, compute.",
+	stageSeconds := s.reg.NewHistogramVec("maestro_stage_seconds",
+		"Per-stage request latency: resolve, canonical key, result-cache lookup, queue wait, compute, response encoding.",
 		"stage", ExpBuckets(0.00001, 4, 10))
+	for st := range s.stages {
+		s.stages[st] = stageSeconds.With(stageNames[st])
+	}
 	s.endpointSeconds = s.reg.NewHistogramVec("maestro_endpoint_seconds",
 		"End-to-end request latency by endpoint.",
 		"endpoint", ExpBuckets(0.0001, 4, 10))
@@ -317,7 +321,9 @@ func errorStatus(err error) int {
 	}
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
+	_, et := s.startStage(r.Context(), stageEncode)
+	defer et.end()
 	s.responses.With(strconv.Itoa(status)).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -350,7 +356,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 		slog.String("path", r.URL.Path),
 		slog.Int("status", status),
 		slog.String("error", err.Error()))
-	s.writeJSON(w, status, map[string]string{"error": err.Error(), "request_id": id})
+	s.writeJSON(w, r, status, map[string]string{"error": err.Error(), "request_id": id})
 }
 
 // decodeJSON parses a request body with a size cap and strict fields.
@@ -384,22 +390,18 @@ func (s *Server) timeoutFor(ms int) time.Duration {
 // the single place the cost model is invoked from.
 func (s *Server) evaluate(ctx context.Context, r resolved, key Key) (*AnalyzeResponse, error) {
 	s.evaluations.Inc()
-	startedAt := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
+	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("layer", r.layer.Name), obs.String("dataflow", r.df.Name))
 	// The cached variant shares the hardware-independent profile across
 	// requests that differ only in hardware configuration (and with the
 	// DSE endpoint, which prices the same profiles). Its profile fetch
 	// and pricing appear as child spans / cache events under this span.
 	res, err := core.AnalyzeDataflowCachedCtx(ctx, r.df, r.layer, r.cfg)
-	span.End()
-	elapsed := time.Since(startedAt)
-	s.stageSeconds.With("compute").Observe(elapsed.Seconds())
-	s.svcTime.Observe(elapsed)
+	s.svcTime.Observe(ct.end())
 	if err != nil {
 		return nil, err
 	}
-	return shapeResponse(res, key, startedAt), nil
+	return shapeResponse(res, key, ct.start), nil
 }
 
 // evaluateGroup prices one profile group of a batch — members sharing a
@@ -410,8 +412,7 @@ func (s *Server) evaluate(ctx context.Context, r resolved, key Key) (*AnalyzeRes
 // one walk). A profile-side failure (unresolvable mapping) fails every
 // member identically.
 func (s *Server) evaluateGroup(ctx context.Context, ms []batchMember) ([]*AnalyzeResponse, []error) {
-	startedAt := time.Now()
-	ctx, span := obs.Start(ctx, "serve.compute",
+	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("layer", ms[0].r.layer.Name), obs.String("dataflow", ms[0].r.df.Name),
 		obs.Int("points", len(ms)))
 	cfgs := make([]hw.Config, len(ms))
@@ -419,10 +420,7 @@ func (s *Server) evaluateGroup(ctx context.Context, ms []batchMember) ([]*Analyz
 		cfgs[i] = m.r.cfg
 	}
 	rs, err := core.AnalyzeDataflowCachedBatchCtx(ctx, ms[0].r.df, ms[0].r.layer, cfgs)
-	span.End()
-	elapsed := time.Since(startedAt)
-	s.stageSeconds.With("compute").Observe(elapsed.Seconds())
-	s.svcTime.Observe(elapsed)
+	s.svcTime.Observe(ct.end())
 
 	resps := make([]*AnalyzeResponse, len(ms))
 	errs := make([]error, len(ms))
@@ -439,7 +437,7 @@ func (s *Server) evaluateGroup(ctx context.Context, ms []batchMember) ([]*Analyz
 			continue
 		}
 		priced++
-		resps[i] = shapeResponse(rs[i], m.key, startedAt)
+		resps[i] = shapeResponse(rs[i], m.key, ct.start)
 	}
 	s.evaluations.Add(int64(priced))
 	return resps, errs
@@ -488,11 +486,37 @@ func shapeResponse(res *core.Result, key Key, startedAt time.Time) *AnalyzeRespo
 // the cache and pool, honoring ctx. It is shared by the single and
 // batch endpoints.
 func (s *Server) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeResponse, error) {
+	_, rt := s.startStage(ctx, stageResolve)
 	r, err := resolveRequest(req)
+	rt.end()
 	if err != nil {
 		return nil, err
 	}
-	return s.analyzeResolved(ctx, req.NoCache, r, canonicalKey(r))
+	_, kt := s.startStage(ctx, stageKey)
+	key := canonicalKey(r, dataflow.Augment(r.df, r.layer))
+	kt.end()
+	return s.analyzeResolved(ctx, req.NoCache, r, key)
+}
+
+// cached looks key up in the result cache under a serve.cache stage.
+// A hit returns the caller's own copy of the stored response, marked
+// Cached. The stage span is per call: the batch handler runs lookups
+// on many goroutines under one shared request span, and a span does
+// not take concurrent Events.
+func (s *Server) cached(ctx context.Context, key Key) (*AnalyzeResponse, bool) {
+	_, ct := s.startStage(ctx, stageCache)
+	v, ok := s.cache.Get(key)
+	ct.span.SetAttr(obs.Bool("hit", ok))
+	if ok {
+		ct.span.Event("result_cache.hit")
+	}
+	ct.end()
+	if !ok {
+		return nil, false
+	}
+	resp := *(v.(*AnalyzeResponse)) // copy: Cached is per-delivery
+	resp.Cached = true
+	return &resp, true
 }
 
 // analyzeResolved executes one already-resolved request through the
@@ -500,19 +524,8 @@ func (s *Server) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 func (s *Server) analyzeResolved(ctx context.Context, noCache bool, r resolved, key Key) (*AnalyzeResponse, error) {
 	// Fast path: cache hits bypass the queue entirely.
 	if !noCache {
-		lookup := time.Now()
-		v, ok := s.cache.Get(key)
-		s.stageSeconds.With("cache").Observe(time.Since(lookup).Seconds())
-		if ok {
-			// The hit is recorded on a per-item child span: the batch
-			// handler runs analyzeOne on many goroutines under one shared
-			// request span, and a span does not take concurrent Events.
-			_, hspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", true))
-			hspan.Event("result_cache.hit")
-			hspan.End()
-			resp := *(v.(*AnalyzeResponse)) // copy: Cached is per-delivery
-			resp.Cached = true
-			return &resp, nil
+		if resp, ok := s.cached(ctx, key); ok {
+			return resp, nil
 		}
 	}
 
@@ -533,11 +546,9 @@ func (s *Server) analyzeResolved(ctx context.Context, noCache bool, r resolved, 
 	ch := make(chan outcome, 1)
 	// The queue span covers submit-to-dequeue: under load it is the
 	// backpressure wait, distinct from the compute span inside the job.
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
+	_, qt := s.startStage(ctx, stageQueue)
 	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
+		qt.end()
 		if ctx.Err() != nil { // caller already gone; don't burn a worker
 			ch <- outcome{err: ctx.Err()}
 			return
@@ -562,9 +573,8 @@ func (s *Server) analyzeResolved(ctx context.Context, noCache bool, r resolved, 
 	if err := s.pool.Submit(job); err != nil {
 		// Rejected submissions still count toward the queue stage —
 		// saturation is exactly when the queue histogram matters.
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
+		qt.span.SetAttr(obs.String("error", err.Error()))
+		qt.end()
 		return nil, err
 	}
 	select {
@@ -623,7 +633,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -663,17 +673,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	groups := map[core.ProfileKey][]batchMember{}
 	for i := range req.Requests {
 		items[i].Index = i
+		_, rt := s.startStage(ctx, stageResolve)
 		rr, err := resolveRequest(req.Requests[i])
+		rt.end()
 		if err != nil {
 			items[i].Error = err.Error()
 			continue
 		}
-		m := batchMember{idx: i, r: rr, key: canonicalKey(rr), noCache: req.Requests[i].NoCache}
+		// One augmentation feeds both the result key and the profile key.
+		_, kt := s.startStage(ctx, stageKey)
+		aug := dataflow.Augment(rr.df, rr.layer)
+		m := batchMember{idx: i, r: rr, key: canonicalKey(rr, aug), noCache: req.Requests[i].NoCache}
+		pk := core.ProfileKeyFor(aug, rr.layer, rr.cfg.NumPEs)
+		kt.end()
 		if m.noCache {
 			singles = append(singles, m)
 			continue
 		}
-		pk := core.ProfileKeyFor(rr.df, rr.layer, rr.cfg.NumPEs)
 		groups[pk] = append(groups[pk], m)
 	}
 	for pk, ms := range groups {
@@ -722,7 +738,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, fmt.Errorf("%w: all %d batch items rejected", ErrQueueFull, len(items)))
 		return
 	}
-	s.writeJSON(w, http.StatusOK, BatchResponse{Results: items})
+	s.writeJSON(w, r, http.StatusOK, BatchResponse{Results: items})
 }
 
 // batchMember is one resolved batch item: its slot in the response, its
@@ -744,16 +760,8 @@ type batchMember struct {
 func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []BatchItem) {
 	miss := make([]batchMember, 0, len(ms))
 	for _, m := range ms {
-		lookup := time.Now()
-		v, ok := s.cache.Get(m.key)
-		s.stageSeconds.With("cache").Observe(time.Since(lookup).Seconds())
-		if ok {
-			_, hspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", true))
-			hspan.Event("result_cache.hit")
-			hspan.End()
-			resp := *(v.(*AnalyzeResponse))
-			resp.Cached = true
-			items[m.idx].Result = &resp
+		if resp, ok := s.cached(ctx, m.key); ok {
+			items[m.idx].Result = resp
 			continue
 		}
 		miss = append(miss, m)
@@ -778,11 +786,9 @@ func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []Bat
 		errs   []error
 	}
 	ch := make(chan groupOutcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
+	_, qt := s.startStage(ctx, stageQueue)
 	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
+		qt.end()
 		if ctx.Err() != nil {
 			errs := make([]error, len(miss))
 			for i := range errs {
@@ -807,9 +813,8 @@ func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []Bat
 		ch <- groupOutcome{resps: resps, cached: cached, errs: errs}
 	}
 	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
+		qt.span.SetAttr(obs.String("error", err.Error()))
+		qt.end()
 		for _, m := range miss {
 			items[m.idx].Error = err.Error()
 		}
@@ -858,13 +863,16 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
+	_, rt := s.startStage(r.Context(), stageResolve)
 	sp, err := buildSpace(req)
+	rt.end()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	layer := sp.Layer
-	key := canonicalDSEKey(layer, req)
+	_, kt := s.startStage(r.Context(), stageKey)
+	key := canonicalDSEKey(sp.Layer, req)
+	kt.end()
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
 	defer cancel()
 
@@ -874,11 +882,9 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		err    error
 	}
 	ch := make(chan outcome, 1)
-	_, qspan := obs.Start(ctx, "serve.queue")
-	submitted := time.Now()
+	_, qt := s.startStage(ctx, stageQueue)
 	job := func() {
-		qspan.End()
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
+		qt.end()
 		if ctx.Err() != nil {
 			ch <- outcome{err: ctx.Err()}
 			return
@@ -900,9 +906,8 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		ch <- outcome{resp: v.(*DSEResponse), cached: cached}
 	}
 	if err := s.pool.Submit(job); err != nil {
-		s.stageSeconds.With("queue").Observe(time.Since(submitted).Seconds())
-		qspan.SetAttr(obs.String("error", err.Error()))
-		qspan.End()
+		qt.span.SetAttr(obs.String("error", err.Error()))
+		qt.end()
 		s.writeError(w, r, err)
 		return
 	}
@@ -917,7 +922,7 @@ func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 		resp := *o.resp
 		resp.Key = key.String()
 		resp.Cached = o.cached
-		s.writeJSON(w, http.StatusOK, &resp)
+		s.writeJSON(w, r, http.StatusOK, &resp)
 	}
 }
 
@@ -959,6 +964,12 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.With("models").Inc()
+	s.writeJSON(w, r, http.StatusOK, zooResponse())
+}
+
+// zooResponse is the /v1/models body, built once from the interned zoo:
+// nothing in it changes while the process runs.
+var zooResponse = sync.OnceValue(func() ModelsResponse {
 	resp := ModelsResponse{Dataflows: dataflowNames(), Presets: presetNames()}
 	for _, name := range zooNames() {
 		m, _ := models.ByName(name)
@@ -977,5 +988,5 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Models = append(resp.Models, mj)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
-}
+	return resp
+})

@@ -140,5 +140,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.requests.With("status").Inc()
-	s.writeJSON(w, http.StatusOK, s.Status())
+	s.writeJSON(w, r, http.StatusOK, s.Status())
 }

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-fleet soak-fleet serve clean
+.PHONY: all build vet test race fuzz bench bench-dse bench-fleet soak-fleet experiments-check serve clean
 
 all: vet build test
 
@@ -56,6 +56,20 @@ bench-fleet:
 SOAK_N ?= 10
 soak-fleet:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashResume' -count $(SOAK_N) -timeout 10m ./internal/fleet/
+
+# Regenerate every paper table and figure and diff the result against
+# the committed experiments_output.txt. Only the wall-clock fields are
+# masked: the time and rate columns of the Fig. 13(c) DSE statistics and
+# their average rate.
+EXPERIMENTS_MASK = sed -E \
+	-e '/^(KC|YR|YX)-P VGG16-/s/[0-9.]+s +[0-9.]+[kMGT]?$$/<time> <rate>/' \
+	-e 's/time +rate \(designs\/s\)$$/time rate (designs\/s)/' \
+	-e 's/average rate [0-9.]+[kMGT]? designs/average rate <rate> designs/'
+experiments-check:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	$(GO) run ./cmd/experiments all | $(EXPERIMENTS_MASK) > "$$out" && \
+	$(EXPERIMENTS_MASK) experiments_output.txt | diff -u - "$$out" && \
+	echo "experiments_output.txt matches a fresh run"
 
 serve:
 	$(GO) run ./cmd/maestro-serve

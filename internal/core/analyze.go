@@ -424,18 +424,6 @@ func AnalyzeDataflowCtx(ctx context.Context, df dataflow.Dataflow, layer tensor.
 	return r, err
 }
 
-// AnalyzeSub exposes one (level, dims) node's outstanding delay for
-// debugging and tests.
-func AnalyzeSub(spec *dataflow.Spec, cfg hw.Config, level int, dims tensor.Sizes) (int64, error) {
-	cfg = cfg.Normalize()
-	e := &engine{spec: spec, cfg: cfg, layer: spec.Layer, nlv: spec.NumLevels(), memo: make(map[memoKey]*nodeRes)}
-	r, err := e.analyze(level, dims)
-	if err != nil {
-		return 0, err
-	}
-	return r.runtime, nil
-}
-
 // AnalyzeAll analyzes many layers concurrently under one dataflow and
 // hardware configuration, preserving order. Per-layer failures land in
 // the errors slice at the layer's index; the result slice holds nil

@@ -112,28 +112,6 @@ func TestVectorWidthSpeedsCompute(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSubMatchesRoot: the exposed per-node analysis of the full
-// problem at level 0 must equal the end-to-end on-chip runtime.
-func TestAnalyzeSubMatchesRoot(t *testing.T) {
-	layer := smallConv()
-	cfg := testHW(4)
-	spec, err := dataflow.Resolve(outputStationary(), layer, cfg.NumPEs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Analyze(spec, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub, err := AnalyzeSub(spec, cfg, 0, layer.Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub != full.OnChipRuntime {
-		t.Errorf("AnalyzeSub root = %d; OnChipRuntime = %d", sub, full.OnChipRuntime)
-	}
-}
-
 // TestMismatchedPEsRejected: analyzing a spec against a different PE
 // count must fail loudly.
 func TestMismatchedPEsRejected(t *testing.T) {

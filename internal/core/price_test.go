@@ -11,6 +11,7 @@ import (
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
 	"repro/internal/hw"
+	"repro/internal/lru"
 	"repro/internal/models"
 	"repro/internal/noc"
 	"repro/internal/tensor"
@@ -413,7 +414,7 @@ func TestProfileCacheHammer(t *testing.T) {
 	if cache.Misses() == 0 {
 		t.Fatal("expected cache misses")
 	}
-	if cache.Len() > 3+profileShards { // per-shard rounding allows slight overshoot
+	if cache.Len() > 3+lru.Shards { // per-shard rounding allows slight overshoot
 		t.Fatalf("cache grew past capacity: %d", cache.Len())
 	}
 }

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"container/list"
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/dataflow"
 	"repro/internal/hw"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/tensor"
 )
@@ -42,39 +39,13 @@ func ProfileKeyFor(aug dataflow.Dataflow, layer tensor.Layer, numPEs int) Profil
 	return canon.Sum(b)
 }
 
-const profileShards = 16
-
-// ProfileCache is a sharded LRU of LayerProfiles with a singleflight
-// layer, mirroring internal/serve's result cache: concurrent requests
-// for the same (dataflow, layer, numPEs) triple profile once and share
-// the immutable result. Profiles are safe to Price concurrently, so one
-// cached entry serves any number of hardware points at once.
+// ProfileCache is the shared LRU+singleflight cache (internal/lru)
+// filled with LayerProfiles: concurrent requests for the same
+// (dataflow, layer, numPEs) triple profile once and share the immutable
+// result. Profiles are safe to Price concurrently, so one cached entry
+// serves any number of hardware points at once.
 type ProfileCache struct {
-	shards [profileShards]*profileShard
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	coalesced atomic.Int64
-	evictions atomic.Int64
-}
-
-type profileShard struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used
-	items    map[ProfileKey]*list.Element
-	inflight map[ProfileKey]*profileCall
-}
-
-type profileEntry struct {
-	key ProfileKey
-	val *LayerProfile
-}
-
-type profileCall struct {
-	done chan struct{}
-	val  *LayerProfile
-	err  error
+	*lru.Cache[ProfileKey, *LayerProfile]
 }
 
 // DefaultProfileCache is the package-level cache shared by the tuner and
@@ -86,24 +57,7 @@ var DefaultProfileCache = NewProfileCache(4096)
 // its shards. A non-positive capacity disables storage (every request
 // profiles; singleflight still coalesces concurrent duplicates).
 func NewProfileCache(capacity int) *ProfileCache {
-	c := &ProfileCache{}
-	per := capacity / profileShards
-	if capacity > 0 && per == 0 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &profileShard{
-			capacity: per,
-			order:    list.New(),
-			items:    map[ProfileKey]*list.Element{},
-			inflight: map[ProfileKey]*profileCall{},
-		}
-	}
-	return c
-}
-
-func (c *ProfileCache) shardFor(k ProfileKey) *profileShard {
-	return c.shards[k[0]%profileShards]
+	return &ProfileCache{lru.New[ProfileKey, *LayerProfile](capacity)}
 }
 
 // ProfileDataflow returns the profile for (df, layer, numPEs), resolving
@@ -122,80 +76,27 @@ func (c *ProfileCache) ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer,
 // span, so a trace shows exactly which requests paid for profiling and
 // which rode the cache.
 func (c *ProfileCache) ProfileDataflowCtx(ctx context.Context, df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, bool, error) {
-	k := profileKey(df, layer, numPEs)
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		c.hits.Add(1)
-		obs.SpanFrom(ctx).Event("profile_cache.hit")
-		return el.Value.(*profileEntry).val, true, nil
-	}
-	if cl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
-		c.coalesced.Add(1)
+	f := c.Begin(profileKey(df, layer, numPEs), func() (*LayerProfile, error) {
+		obs.SpanFrom(ctx).Event("profile_cache.miss")
+		spec, err := dataflow.Resolve(df, layer, numPEs)
+		if err != nil {
+			return nil, err
+		}
+		return ProfileCtx(ctx, spec)
+	})
+	if f.Outcome == lru.Joined {
 		_, wait := obs.Start(ctx, "core.profilecache.wait")
-		<-cl.done
+		p, err := f.Wait()
 		wait.End()
 		obs.SpanFrom(ctx).Event("profile_cache.coalesced")
-		return cl.val, false, cl.err
+		return p, false, err
 	}
-	cl := &profileCall{done: make(chan struct{})}
-	s.inflight[k] = cl
-	s.mu.Unlock()
-	c.misses.Add(1)
-	obs.SpanFrom(ctx).Event("profile_cache.miss")
-
-	finished := false
-	defer func() {
-		if !finished { // profiling panicked: release waiters before unwinding
-			cl.err = fmt.Errorf("core: profile computation panicked")
-			c.finish(s, k, cl, false)
-		}
-	}()
-	var spec *dataflow.Spec
-	spec, cl.err = dataflow.Resolve(df, layer, numPEs)
-	if cl.err == nil {
-		cl.val, cl.err = ProfileCtx(ctx, spec)
+	if f.Outcome == lru.Hit {
+		obs.SpanFrom(ctx).Event("profile_cache.hit")
 	}
-	finished = true
-	c.finish(s, k, cl, cl.err == nil)
-	return cl.val, false, cl.err
+	p, err := f.Wait()
+	return p, f.Outcome == lru.Hit, err
 }
-
-func (c *ProfileCache) finish(s *profileShard, k ProfileKey, cl *profileCall, store bool) {
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if store && s.capacity > 0 {
-		s.items[k] = s.order.PushFront(&profileEntry{key: k, val: cl.val})
-		for s.order.Len() > s.capacity {
-			last := s.order.Back()
-			s.order.Remove(last)
-			delete(s.items, last.Value.(*profileEntry).key)
-			c.evictions.Add(1)
-		}
-	}
-	s.mu.Unlock()
-	close(cl.done)
-}
-
-// Len returns the number of cached profiles.
-func (c *ProfileCache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Hits, Misses, Coalesced and Evictions expose the cache counters.
-func (c *ProfileCache) Hits() int64      { return c.hits.Load() }
-func (c *ProfileCache) Misses() int64    { return c.misses.Load() }
-func (c *ProfileCache) Coalesced() int64 { return c.coalesced.Load() }
-func (c *ProfileCache) Evictions() int64 { return c.evictions.Load() }
 
 // ProfileDataflow resolves and profiles through the package-level cache.
 func ProfileDataflow(df dataflow.Dataflow, layer tensor.Layer, numPEs int) (*LayerProfile, error) {

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"container/list"
 	"encoding/hex"
-	"fmt"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/lru"
 )
 
 // Key identifies one canonical analysis request (SHA-256 of the
@@ -15,145 +13,12 @@ type Key [32]byte
 // String returns the hex form served back to clients.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-const cacheShards = 16
+// Cache is the result cache: the shared LRU+singleflight cache keyed by
+// canonical request keys. Values are immutable once stored (the
+// pipeline copies before setting per-delivery fields).
+type Cache = lru.Cache[Key, any]
 
-// Cache is a sharded LRU result cache with a singleflight layer:
-// concurrent requests for the same key compute once and share the
-// result. Values are immutable once stored (handlers copy before
-// mutating per-delivery fields).
-type Cache struct {
-	shards [cacheShards]*shard
-
-	hits      atomic.Int64 // served from the LRU
-	misses    atomic.Int64 // computed fresh
-	coalesced atomic.Int64 // joined an in-flight computation
-	evictions atomic.Int64
-}
-
-type shard struct {
-	mu       sync.Mutex
-	capacity int
-	order    *list.List // front = most recently used
-	items    map[Key]*list.Element
-	inflight map[Key]*call
-}
-
-type lruEntry struct {
-	key Key
-	val any
-}
-
-type call struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-// NewCache builds a cache holding up to capacity entries across its
-// shards. A non-positive capacity disables storage (every request
-// computes; singleflight still coalesces concurrent duplicates).
-func NewCache(capacity int) *Cache {
-	c := &Cache{}
-	per := capacity / cacheShards
-	if capacity > 0 && per == 0 {
-		per = 1
-	}
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			capacity: per,
-			order:    list.New(),
-			items:    map[Key]*list.Element{},
-			inflight: map[Key]*call{},
-		}
-	}
-	return c
-}
-
-func (c *Cache) shardFor(k Key) *shard { return c.shards[k[0]%cacheShards] }
-
-// Get returns the cached value for k, counting a hit when present. A
-// miss is not counted here — Do owns miss accounting — so handlers can
-// probe for the fast path without skewing the ratio.
-func (c *Cache) Get(k Key) (any, bool) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry).val, true
-	}
-	return nil, false
-}
-
-// Do returns the value for k, computing it with fn at most once across
-// concurrent callers. The second return reports whether the value came
-// from the cache (LRU hit); callers that joined an in-flight
-// computation report false. Errors are not cached.
-func (c *Cache) Do(k Key, fn func() (any, error)) (val any, cached bool, err error) {
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return el.Value.(*lruEntry).val, true, nil
-	}
-	if cl, ok := s.inflight[k]; ok {
-		s.mu.Unlock()
-		c.coalesced.Add(1)
-		<-cl.done
-		return cl.val, false, cl.err
-	}
-	cl := &call{done: make(chan struct{})}
-	s.inflight[k] = cl
-	s.mu.Unlock()
-	c.misses.Add(1)
-
-	finished := false
-	defer func() {
-		if !finished { // fn panicked: release waiters before unwinding
-			cl.err = fmt.Errorf("serve: cache compute panicked")
-			c.finish(s, k, cl, false)
-		}
-	}()
-	cl.val, cl.err = fn()
-	finished = true
-	c.finish(s, k, cl, cl.err == nil)
-	return cl.val, false, cl.err
-}
-
-// finish publishes a completed computation: removes the in-flight
-// marker, stores successful results in the LRU, and wakes waiters.
-func (c *Cache) finish(s *shard, k Key, cl *call, store bool) {
-	s.mu.Lock()
-	delete(s.inflight, k)
-	if store && s.capacity > 0 {
-		s.items[k] = s.order.PushFront(&lruEntry{key: k, val: cl.val})
-		for s.order.Len() > s.capacity {
-			last := s.order.Back()
-			s.order.Remove(last)
-			delete(s.items, last.Value.(*lruEntry).key)
-			c.evictions.Add(1)
-		}
-	}
-	s.mu.Unlock()
-	close(cl.done)
-}
-
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Hits, Misses, Coalesced and Evictions expose the cache counters.
-func (c *Cache) Hits() int64      { return c.hits.Load() }
-func (c *Cache) Misses() int64    { return c.misses.Load() }
-func (c *Cache) Coalesced() int64 { return c.coalesced.Load() }
-func (c *Cache) Evictions() int64 { return c.evictions.Load() }
+// NewCache builds a result cache holding up to capacity entries. A
+// non-positive capacity disables storage (every request computes;
+// singleflight still coalesces concurrent duplicates).
+func NewCache(capacity int) *Cache { return lru.New[Key, any](capacity) }

@@ -264,12 +264,13 @@ func pointJSON(p dse.Point) *DSEPointJSON {
 // runDSETraced runs the sweep inside ctx's span tree: the whole sweep
 // is one "serve.compute" span, and dse.Explore hangs its own explore
 // and per-mapping spans below it (with the request's baggage, so every
-// worker span carries the request ID).
-func (s *Server) runDSETraced(ctx context.Context, req DSERequest, sp dse.Space) *DSEResponse {
+// worker span carries the request ID). The response is filed under key.
+func (s *Server) runDSETraced(ctx context.Context, req DSERequest, sp dse.Space, key Key) *DSEResponse {
 	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("layer", sp.Layer.Name), obs.String("template", sp.Template.Name))
 	sp.Ctx = ctx
 	resp := runDSE(req, sp)
+	resp.Key = key.String()
 	ct.span.SetAttr(obs.Int64("explored", resp.Explored))
 	ct.end()
 	return resp

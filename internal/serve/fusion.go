@@ -4,7 +4,6 @@ import (
 	"context"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/internal/canon"
 	"repro/internal/dse"
@@ -166,12 +165,14 @@ func canonicalFusionKey(cfg hw.Config, req FusionRequest) Key {
 	return canon.Sum(b)
 }
 
-// runFusionTraced runs the sweep inside ctx's span tree.
-func (s *Server) runFusionTraced(ctx context.Context, sp dse.FusionSpace) *FusionResponse {
+// runFusionTraced runs the sweep inside ctx's span tree and files the
+// response under key.
+func (s *Server) runFusionTraced(ctx context.Context, sp dse.FusionSpace, key Key) *FusionResponse {
 	ctx, ct := s.startStage(ctx, stageCompute,
 		obs.String("model", sp.Model.Name), obs.String("template", sp.Dataflow))
 	sp.Ctx = ctx
 	resp := runFusion(sp)
+	resp.Key = key.String()
 	ct.span.SetAttr(obs.Int64("valid", resp.Valid))
 	ct.end()
 	return resp
@@ -214,77 +215,28 @@ func runFusion(sp dse.FusionSpace) *FusionResponse {
 }
 
 func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
-	if !methodPost(w, r) {
-		return
-	}
-	s.requests.With("fusion").Inc()
-	start := time.Now()
-	defer func() { s.latency.Observe(time.Since(start).Seconds()) }()
-
 	var req FusionRequest
-	if err := decodeJSON(w, r, 1<<20, &req); err != nil {
-		s.writeError(w, r, err)
+	ctx, done, ok := s.post(w, r, "fusion", 1<<20, &req)
+	if !ok {
 		return
 	}
-	_, rt := s.startStage(r.Context(), stageResolve)
+	defer done()
+	_, rt := s.startStage(ctx, stageResolve)
 	sp, err := buildFusionSpace(req)
 	rt.end()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	_, kt := s.startStage(r.Context(), stageKey)
+	_, kt := s.startStage(ctx, stageKey)
 	key := canonicalFusionKey(sp.Cfg, req.WithDefaults())
 	kt.end()
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
-
-	type outcome struct {
-		resp   *FusionResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	_, qt := s.startStage(ctx, stageQueue)
-	job := func() {
-		qt.end()
-		if ctx.Err() != nil {
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if req.NoCache {
-			ch <- outcome{resp: s.runFusionTraced(ctx, sp)}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.runFusionTraced(cctx, sp), nil
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*FusionResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		qt.span.SetAttr(obs.String("error", err.Error()))
-		qt.end()
+	resp, err := pipeline(s, ctx, key, req.NoCache, func(ctx context.Context) (*FusionResponse, error) {
+		return s.runFusionTraced(ctx, sp, key), nil
+	})
+	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	select {
-	case <-ctx.Done():
-		s.writeError(w, r, ctx.Err())
-	case o := <-ch:
-		if o.err != nil {
-			s.writeError(w, r, o.err)
-			return
-		}
-		resp := *o.resp
-		resp.Key = key.String()
-		resp.Cached = o.cached
-		s.writeJSON(w, r, http.StatusOK, &resp)
-	}
+	s.writeJSON(w, r, http.StatusOK, resp)
 }

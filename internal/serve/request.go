@@ -102,8 +102,8 @@ type AnalyzeRequest struct {
 	// option). The analysis itself is not cancelled mid-flight; a timed
 	// out request still populates the cache for later retries.
 	TimeoutMs int `json:"timeout_ms,omitempty"`
-	// NoCache bypasses the result cache (the computation still runs on
-	// the pool and coalesces with identical in-flight requests).
+	// NoCache bypasses the result cache: the computation runs on the
+	// pool without reading, writing or coalescing through the cache.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

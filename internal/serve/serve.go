@@ -359,33 +359,6 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	s.writeJSON(w, r, status, map[string]string{"error": err.Error(), "request_id": id})
 }
 
-// decodeJSON parses a request body with a size cap and strict fields.
-func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return badRequestf("decoding body: %v", err)
-	}
-	return nil
-}
-
-func methodPost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return false
-	}
-	return true
-}
-
-// timeoutFor picks the request deadline.
-func (s *Server) timeoutFor(ms int) time.Duration {
-	if ms > 0 {
-		return time.Duration(ms) * time.Millisecond
-	}
-	return s.opts.DefaultTimeout
-}
-
 // evaluate runs one resolved analysis and shapes the response. This is
 // the single place the cost model is invoked from.
 func (s *Server) evaluate(ctx context.Context, r resolved, key Key) (*AnalyzeResponse, error) {
@@ -498,96 +471,12 @@ func (s *Server) analyzeOne(ctx context.Context, req AnalyzeRequest) (*AnalyzeRe
 	return s.analyzeResolved(ctx, req.NoCache, r, key)
 }
 
-// cached looks key up in the result cache under a serve.cache stage.
-// A hit returns the caller's own copy of the stored response, marked
-// Cached. The stage span is per call: the batch handler runs lookups
-// on many goroutines under one shared request span, and a span does
-// not take concurrent Events.
-func (s *Server) cached(ctx context.Context, key Key) (*AnalyzeResponse, bool) {
-	_, ct := s.startStage(ctx, stageCache)
-	v, ok := s.cache.Get(key)
-	ct.span.SetAttr(obs.Bool("hit", ok))
-	if ok {
-		ct.span.Event("result_cache.hit")
-	}
-	ct.end()
-	if !ok {
-		return nil, false
-	}
-	resp := *(v.(*AnalyzeResponse)) // copy: Cached is per-delivery
-	resp.Cached = true
-	return &resp, true
-}
-
-// analyzeResolved executes one already-resolved request through the
-// cache and pool, honoring ctx.
+// analyzeResolved runs one already-resolved request through the
+// pipeline.
 func (s *Server) analyzeResolved(ctx context.Context, noCache bool, r resolved, key Key) (*AnalyzeResponse, error) {
-	// Fast path: cache hits bypass the queue entirely.
-	if !noCache {
-		if resp, ok := s.cached(ctx, key); ok {
-			return resp, nil
-		}
-	}
-
-	// Adaptive shedding: a request whose remaining deadline cannot cover
-	// the expected queue wait plus the observed median compute time is
-	// dropped here, before it occupies a queue slot it can never use.
-	if dl, ok := ctx.Deadline(); ok {
-		if err := s.shedCheck(time.Until(dl)); err != nil {
-			return nil, err
-		}
-	}
-
-	type outcome struct {
-		resp   *AnalyzeResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	// The queue span covers submit-to-dequeue: under load it is the
-	// backpressure wait, distinct from the compute span inside the job.
-	_, qt := s.startStage(ctx, stageQueue)
-	job := func() {
-		qt.end()
-		if ctx.Err() != nil { // caller already gone; don't burn a worker
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if noCache {
-			resp, err := s.evaluate(ctx, r, key)
-			ch <- outcome{resp: resp, err: err}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.evaluate(cctx, r, key)
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*AnalyzeResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		// Rejected submissions still count toward the queue stage —
-		// saturation is exactly when the queue histogram matters.
-		qt.span.SetAttr(obs.String("error", err.Error()))
-		qt.end()
-		return nil, err
-	}
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case o := <-ch:
-		if o.err != nil {
-			return nil, o.err
-		}
-		resp := *o.resp
-		resp.Cached = o.cached
-		return &resp, nil
-	}
+	return pipeline(s, ctx, key, noCache, func(ctx context.Context) (*AnalyzeResponse, error) {
+		return s.evaluate(ctx, r, key)
+	})
 }
 
 // ---- handlers ----
@@ -614,20 +503,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	if !methodPost(w, r) {
-		return
-	}
-	s.requests.With("analyze").Inc()
-	start := time.Now()
-	defer func() { s.latency.Observe(time.Since(start).Seconds()) }()
-
 	var req AnalyzeRequest
-	if err := decodeJSON(w, r, 1<<20, &req); err != nil {
-		s.writeError(w, r, err)
+	ctx, done, ok := s.post(w, r, "analyze", 1<<20, &req)
+	if !ok {
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
+	defer done()
 	resp, err := s.analyzeOne(ctx, req)
 	if err != nil {
 		s.writeError(w, r, err)
@@ -637,18 +518,12 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if !methodPost(w, r) {
-		return
-	}
-	s.requests.With("batch").Inc()
-	start := time.Now()
-	defer func() { s.latency.Observe(time.Since(start).Seconds()) }()
-
 	var req BatchRequest
-	if err := decodeJSON(w, r, 16<<20, &req); err != nil {
-		s.writeError(w, r, err)
+	ctx, done, ok := s.post(w, r, "batch", 16<<20, &req)
+	if !ok {
 		return
 	}
+	defer done()
 	if len(req.Requests) == 0 {
 		s.writeError(w, r, badRequestf("empty batch"))
 		return
@@ -659,8 +534,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.batchSize.Observe(float64(len(req.Requests)))
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
 
 	// Resolve every item up front so the ones sharing a hardware-
 	// independent profile — same dataflow, layer, and PE count, differing
@@ -702,13 +575,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Fan out; results land at their member's index. Group goroutines
 	// write disjoint item slots, and the handler joins every goroutine
 	// before reading items.
-	done := make(chan struct{}, len(singles)+len(groups))
-	launched := 0
+	var wg sync.WaitGroup
 	for _, m := range singles {
 		m := m
-		launched++
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			resp, err := s.analyzeResolved(ctx, m.noCache, m.r, m.key)
 			items[m.idx].Result = resp
 			if err != nil {
@@ -718,15 +590,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, ms := range groups {
 		ms := ms
-		launched++
+		wg.Add(1)
 		go func() {
-			defer func() { done <- struct{}{} }()
+			defer wg.Done()
 			s.analyzeGroup(ctx, ms, items)
 		}()
 	}
-	for i := 0; i < launched; i++ {
-		<-done
-	}
+	wg.Wait()
 	allRejected := true
 	for i := range items {
 		if !errors.Is(errorOf(items[i]), ErrQueueFull) {
@@ -751,8 +621,9 @@ type batchMember struct {
 }
 
 // analyzeGroup executes one profile group of a batch: the per-item
-// cache fast path first, then the remaining misses as a single pool job
-// that prices them all in one PriceBatch walk. Each priced response is
+// cache probe first, then the remaining misses as a single pool job
+// (one enqueue, like every other endpoint) that prices them all in one
+// PriceBatch walk. Each priced response is
 // inserted under its own result-cache key (through the cache's
 // singleflight Do), so later identical requests hit as if the items had
 // been computed individually. A rejected submit or an expired context
@@ -760,7 +631,7 @@ type batchMember struct {
 func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []BatchItem) {
 	miss := make([]batchMember, 0, len(ms))
 	for _, m := range ms {
-		if resp, ok := s.cached(ctx, m.key); ok {
+		if resp, ok := probe[AnalyzeResponse](s, ctx, m.key); ok {
 			items[m.idx].Result = resp
 			continue
 		}
@@ -769,71 +640,33 @@ func (s *Server) analyzeGroup(ctx context.Context, ms []batchMember, items []Bat
 	if len(miss) == 0 {
 		return
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		if err := s.shedCheck(time.Until(dl)); err != nil {
-			for _, m := range miss {
-				items[m.idx].Error = err.Error()
-			}
-			return
-		}
-	}
 
-	// One queue slot covers the whole group; the job reports back over a
-	// channel so an early ctx exit never races the job's item writes.
-	type groupOutcome struct {
-		resps  []*AnalyzeResponse
-		cached []bool
-		errs   []error
-	}
-	ch := make(chan groupOutcome, 1)
-	_, qt := s.startStage(ctx, stageQueue)
-	job := func() {
-		qt.end()
-		if ctx.Err() != nil {
-			errs := make([]error, len(miss))
-			for i := range errs {
-				errs[i] = ctx.Err()
-			}
-			ch <- groupOutcome{errs: errs}
-			return
-		}
+	// One queue slot covers the whole group; the job reports back through
+	// enqueue, so an early ctx exit never races the job's item writes.
+	out, err := enqueue(s, ctx, func() []outcome[*AnalyzeResponse] {
 		cctx, cspan := obs.Start(ctx, "serve.cache", obs.Bool("hit", false))
 		resps, errs := s.evaluateGroup(cctx, miss)
-		cached := make([]bool, len(miss))
+		out := make([]outcome[*AnalyzeResponse], len(miss))
 		for i := range miss {
-			if errs[i] != nil || resps[i] == nil {
+			if errs[i] != nil {
+				out[i].err = errs[i]
 				continue
 			}
 			resp := resps[i]
-			v, wasCached, _ := s.cache.Do(miss[i].key, func() (any, error) { return resp, nil })
-			resps[i] = v.(*AnalyzeResponse)
-			cached[i] = wasCached
+			v, hit, _ := s.cache.Do(miss[i].key, func() (any, error) { return resp, nil })
+			out[i] = outcome[*AnalyzeResponse]{v: v.(*AnalyzeResponse), cached: hit}
 		}
 		cspan.End()
-		ch <- groupOutcome{resps: resps, cached: cached, errs: errs}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		qt.span.SetAttr(obs.String("error", err.Error()))
-		qt.end()
-		for _, m := range miss {
+		return out
+	})
+	for i, m := range miss {
+		switch {
+		case err != nil:
 			items[m.idx].Error = err.Error()
-		}
-		return
-	}
-	select {
-	case <-ctx.Done():
-		for _, m := range miss {
-			items[m.idx].Error = ctx.Err().Error()
-		}
-	case o := <-ch:
-		for i, m := range miss {
-			if o.errs[i] != nil {
-				items[m.idx].Error = o.errs[i].Error()
-				continue
-			}
-			resp := *o.resps[i]
-			resp.Cached = o.cached[i]
-			items[m.idx].Result = &resp
+		case out[i].err != nil:
+			items[m.idx].Error = out[i].err.Error()
+		default:
+			items[m.idx].Result = deliver(out[i].v, out[i].cached)
 		}
 	}
 }
@@ -851,79 +684,30 @@ func errorOf(it BatchItem) error {
 }
 
 func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
-	if !methodPost(w, r) {
-		return
-	}
-	s.requests.With("dse").Inc()
-	start := time.Now()
-	defer func() { s.latency.Observe(time.Since(start).Seconds()) }()
-
 	var req DSERequest
-	if err := decodeJSON(w, r, 1<<20, &req); err != nil {
-		s.writeError(w, r, err)
+	ctx, done, ok := s.post(w, r, "dse", 1<<20, &req)
+	if !ok {
 		return
 	}
-	_, rt := s.startStage(r.Context(), stageResolve)
+	defer done()
+	_, rt := s.startStage(ctx, stageResolve)
 	sp, err := buildSpace(req)
 	rt.end()
 	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	_, kt := s.startStage(r.Context(), stageKey)
+	_, kt := s.startStage(ctx, stageKey)
 	key := canonicalDSEKey(sp.Layer, req)
 	kt.end()
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(req.TimeoutMs))
-	defer cancel()
-
-	type outcome struct {
-		resp   *DSEResponse
-		cached bool
-		err    error
-	}
-	ch := make(chan outcome, 1)
-	_, qt := s.startStage(ctx, stageQueue)
-	job := func() {
-		qt.end()
-		if ctx.Err() != nil {
-			ch <- outcome{err: ctx.Err()}
-			return
-		}
-		if req.NoCache {
-			ch <- outcome{resp: s.runDSETraced(ctx, req, sp)}
-			return
-		}
-		cctx, cspan := obs.Start(ctx, "serve.cache")
-		v, cached, err := s.cache.Do(key, func() (any, error) {
-			return s.runDSETraced(cctx, req, sp), nil
-		})
-		cspan.SetAttr(obs.Bool("hit", cached))
-		cspan.End()
-		if err != nil {
-			ch <- outcome{err: err}
-			return
-		}
-		ch <- outcome{resp: v.(*DSEResponse), cached: cached}
-	}
-	if err := s.pool.Submit(job); err != nil {
-		qt.span.SetAttr(obs.String("error", err.Error()))
-		qt.end()
+	resp, err := pipeline(s, ctx, key, req.NoCache, func(ctx context.Context) (*DSEResponse, error) {
+		return s.runDSETraced(ctx, req, sp, key), nil
+	})
+	if err != nil {
 		s.writeError(w, r, err)
 		return
 	}
-	select {
-	case <-ctx.Done():
-		s.writeError(w, r, ctx.Err())
-	case o := <-ch:
-		if o.err != nil {
-			s.writeError(w, r, o.err)
-			return
-		}
-		resp := *o.resp
-		resp.Key = key.String()
-		resp.Cached = o.cached
-		s.writeJSON(w, r, http.StatusOK, &resp)
-	}
+	s.writeJSON(w, r, http.StatusOK, resp)
 }
 
 // ModelsResponse is the body of GET /v1/models.

@@ -3,6 +3,8 @@ package tensor
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // ErrInvalidLayer tags layer-validation failures (non-positive sizes,
@@ -136,7 +138,32 @@ func (l Layer) Validate() error {
 		return fmt.Errorf("%w: layer %s: filter %dx%d exceeds activation %dx%d",
 			ErrInvalidLayer, l.Name, l.Sizes[R], l.Sizes[S], l.Sizes[Y], l.Sizes[X])
 	}
+	// The engines count in int64; a layer whose MAC count or a tensor
+	// volume does not fit would come back as wrapped, negative numbers.
+	// The weight and output volumes multiply a subset of the MAC factors,
+	// so only the MAC count and the input volume need checking.
+	z := l.Sizes
+	if !fitsInt64(z[N], z[K], z[C], l.OutY(), l.OutX(), z[R], z[S]) {
+		return fmt.Errorf("%w: layer %s: MAC count overflows int64", ErrInvalidLayer, l.Name)
+	}
+	if !fitsInt64(z[N], z[C], z[Y], z[X]) {
+		return fmt.Errorf("%w: layer %s: input tensor volume overflows int64", ErrInvalidLayer, l.Name)
+	}
 	return nil
+}
+
+// fitsInt64 reports whether the product of the positive factors fs fits
+// in an int64.
+func fitsInt64(fs ...int) bool {
+	p := uint64(1)
+	for _, f := range fs {
+		hi, lo := bits.Mul64(p, uint64(f))
+		if hi != 0 || lo > math.MaxInt64 {
+			return false
+		}
+		p = lo
+	}
+	return true
 }
 
 // OutY returns the number of output rows: floor((Y-R)/strideY)+1.

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -168,6 +169,30 @@ func TestValidateRejects(t *testing.T) {
 	neg := Layer{Op: Conv2D}
 	if err := neg.Validate(); err == nil {
 		t.Error("zero sizes accepted")
+	}
+}
+
+// TestValidateOverflow: a layer whose MAC count or a tensor volume does
+// not fit in int64 is an invalid layer, not a wrapped negative count.
+func TestValidateOverflow(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		layer Layer
+		ok    bool
+	}{
+		{"conv 4096^5 x 3x3 MACs", Layer{Op: Conv2D, Sizes: Sizes{N: 4096, K: 4096, C: 4096, Y: 4096, X: 4096, R: 3, S: 3}}, false},
+		{"gemm 2^62 MACs fits", Layer{Op: GEMM, Sizes: Sizes{K: 1 << 31, C: 1 << 31}}, true},
+		{"gemm 2^63 MACs", Layer{Op: GEMM, Sizes: Sizes{K: 1 << 32, C: 1 << 31}}, false},
+		{"strided input 2^66 with 1 MAC", Layer{Op: Conv2D, Sizes: Sizes{Y: 1 << 33, X: 1 << 33}, StrideY: 1 << 33, StrideX: 1 << 33}, false},
+	} {
+		l := tc.layer.Normalize()
+		err := l.Validate()
+		if tc.ok && err != nil {
+			t.Errorf("%s: Validate = %v; want nil", tc.name, err)
+		}
+		if !tc.ok && !errors.Is(err, ErrInvalidLayer) {
+			t.Errorf("%s: Validate = %v; want ErrInvalidLayer (MACs() = %d)", tc.name, err, l.MACs())
+		}
 	}
 }
 

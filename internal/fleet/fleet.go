@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dse"
@@ -32,8 +33,8 @@ type Options struct {
 	// is raised automatically when the raw space would otherwise exceed
 	// a server's MaxDSEGrid cap per shard.
 	ShardsPerNode int
-	// InflightPerNode caps concurrent shard requests per node
-	// (default 2).
+	// InflightPerNode caps one sweep's concurrent shard requests per
+	// node, for either sweep kind (default 2).
 	InflightPerNode int
 	// Rounds bounds how many times a shard may walk the whole ring
 	// before the sweep fails (default 3). Each failover within a round
@@ -119,21 +120,7 @@ type Result struct {
 	Pricings int64
 	Valid    int64
 
-	Elapsed      time.Duration
-	Shards       int
-	Redispatched int64 // failover attempts after a node refused or failed a shard
-	Stolen       int64 // duplicate attempts launched by the straggler watchdog
-	Discarded    int64 // duplicate results dropped by at-most-once accounting
-	Replayed     int   // shards restored from the checkpoint journal, not dispatched
-	// JournalErrors counts shard results that merged but could not be
-	// made durable (append or fsync failed). The sweep still completes;
-	// a later resume re-dispatches those shards.
-	JournalErrors int64
-
-	// TraceID is the distributed trace the sweep ran under (empty when
-	// tracing was off). It is the key for pulling node-local span
-	// segments and assembling the stitched fleet trace.
-	TraceID string
+	Counters
 }
 
 // Rate reports explored designs per wall-clock second.
@@ -164,21 +151,20 @@ type Stats struct {
 	PerNode      map[string]NodeStats
 }
 
-// Fleet dispatches sharded DSE sweeps across maestro-serve nodes. Safe
-// for concurrent use.
+// Fleet dispatches sharded DSE and fusion sweeps across maestro-serve
+// nodes. Safe for concurrent use.
 type Fleet struct {
 	opts    Options
 	ring    *ring
 	clients map[string]*client.Client
 	prober  *prober // nil when probing is disabled
 
-	mu           sync.Mutex
-	sweeps       int64
-	shards       int64
-	redispatched int64
-	stolen       int64
-	discarded    int64
-	perNode      map[string]*NodeStats
+	// Fleet-wide dispatch counters, summed over every sweep of either
+	// kind.
+	sweeps, shards, redispatched, stolen, discarded atomic.Int64
+
+	mu      sync.Mutex
+	perNode map[string]*NodeStats
 	// lastLatencies holds the most recent completed sweep's per-shard
 	// latencies, feeding the federated shard-timeline quantiles.
 	lastLatencies []time.Duration
@@ -264,11 +250,11 @@ func (f *Fleet) Close() {
 func (f *Fleet) Stats() Stats {
 	f.mu.Lock()
 	st := Stats{
-		Sweeps:       f.sweeps,
-		Shards:       f.shards,
-		Redispatched: f.redispatched,
-		Stolen:       f.stolen,
-		Discarded:    f.discarded,
+		Sweeps:       f.sweeps.Load(),
+		Shards:       f.shards.Load(),
+		Redispatched: f.redispatched.Load(),
+		Stolen:       f.stolen.Load(),
+		Discarded:    f.discarded.Load(),
 		PerNode:      make(map[string]NodeStats, len(f.perNode)),
 	}
 	for h, ns := range f.perNode {
@@ -285,184 +271,37 @@ func (f *Fleet) Stats() Stats {
 	return st
 }
 
-// shardRun is one shard's dispatch state.
-type shardRun struct {
-	shard dse.Shard
-	req   serve.DSERequest
-	route []string // failover order, preferred node first
-	// hash is the canonical hash of the shard's scoped request; it keys
-	// the shard's journal record, so a resumed sweep only replays a
-	// record into the exact same slice of the space.
-	hash string
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu     sync.Mutex
-	cursor int // next route position to try
-	live   map[int]liveAttempt
-	nextID int
-	stole  bool
-	done   bool // guarded by sweep.mu, not sr.mu
-}
-
-// liveAttempt is one in-flight request the watchdog can judge.
-type liveAttempt struct {
-	start time.Time
-	host  string
-}
-
-// sweep is the per-Sweep coordinator state.
-type sweep struct {
-	f      *Fleet
-	opts   Options
-	ctx    context.Context
-	cancel context.CancelFunc
-	sem    map[string]chan struct{}
-	shards []*shardRun
-	jnl    *journal // nil when checkpointing is off
-	wg     sync.WaitGroup
-
-	mu        sync.Mutex
-	front     []dse.Point
-	res       Result
-	latencies []time.Duration
-	completed int
-	err       error
-
-	doneCh chan struct{}
-	failCh chan struct{}
-	fail   sync.Once
-}
-
 // Sweep partitions req's design space, dispatches the shards across the
 // fleet, and returns the merged result. The request's unset axes are
 // filled with the same defaults a single server applies, so the merged
 // front is identical to what one node would compute for the whole
 // space. Sweep blocks until every shard completes, the context is
-// cancelled, or a shard exhausts its failover budget.
+// cancelled, a node refuses a shard with a hard 4xx, or a shard
+// exhausts its failover budget.
 func (f *Fleet) Sweep(ctx context.Context, req serve.DSERequest) (*Result, error) {
-	start := time.Now()
 	runs, layer, err := f.plan(req)
 	if err != nil {
 		return nil, err
 	}
-
-	// Open the write-ahead journal before anything is dispatched: a
-	// checkpointed sweep that cannot journal must fail loudly rather
-	// than silently run undurable.
-	var jnl *journal
-	if f.opts.CheckpointDir != "" {
-		creq := req.WithDefaults()
-		creq.PEs = sortedDedup(creq.PEs)
-		creq.P1 = sortedDedup(creq.P1)
-		hash, err := sweepHashDSE(creq)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: hashing sweep request: %w", err)
-		}
-		jnl, err = openJournal(f.opts.CheckpointDir, journalKindDSE, hash, f.opts.Resume)
-		if err != nil {
-			return nil, err
-		}
+	hash, err := sweepHashDSE(req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: hashing sweep request: %w", err)
 	}
-
-	ctx, span := obs.Start(ctx, "fleet.sweep",
-		obs.String("layer", layer.Name), obs.String("template", req.Template),
-		obs.Int("shards", len(runs)), obs.Int("hosts", len(f.opts.Hosts)))
-	defer span.End()
-	traceID := span.TraceID()
-	if traceID != "" {
-		// Stamp one request ID across every shard request the sweep fans
-		// out, so all nodes' access logs grep by the sweep's identity.
-		ctx = client.WithRequestID(ctx, "sweep-"+traceID[:16])
-	}
-
-	sw := &sweep{
-		f:      f,
-		opts:   f.opts,
-		sem:    make(map[string]chan struct{}, len(f.opts.Hosts)),
-		shards: runs,
-		jnl:    jnl,
-		doneCh: make(chan struct{}),
-		failCh: make(chan struct{}),
-	}
-	sw.ctx, sw.cancel = context.WithCancel(ctx)
-	defer sw.cancel()
-	for _, h := range f.opts.Hosts {
-		sw.sem[h] = make(chan struct{}, f.opts.InflightPerNode)
-	}
-	for _, sr := range runs {
-		sr.ctx, sr.cancel = context.WithCancel(sw.ctx)
-	}
-
-	f.mu.Lock()
-	f.sweeps++
-	f.shards += int64(len(runs))
-	f.mu.Unlock()
-
-	// Replay journaled shards before dispatching anything: a record only
-	// restores into the shard whose scoped-request hash and partition
-	// shape it was written for, so a changed host count or grid simply
-	// re-dispatches instead of merging the wrong slice.
-	if jnl != nil {
-		for _, sr := range runs {
-			if rec, ok := jnl.lookup(sr.hash); ok &&
-				rec.Of == len(runs) && rec.Shard == sr.shard.Index {
-				sw.restore(sr, rec)
+	var res Result
+	res.Counters, err = f.run(ctx, sweepSpec{
+		kind: journalKindDSE, hash: hash, runs: runs,
+		attrs: []obs.Attr{obs.String("layer", layer.Name), obs.String("template", req.Template)},
+		merge: func(rec *journalRecord) { res.merge(rec.DSE) },
+		stream: func(sr *shardRun, rec *journalRecord, replayed bool) {
+			if cb := f.opts.OnShard; cb != nil {
+				cb(ShardResult{Shard: sr.shard, Host: rec.Host, Stolen: rec.Stolen, Replayed: replayed, Resp: rec.DSE})
 			}
-		}
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	for _, sr := range sw.shards {
-		sw.mu.Lock()
-		done := sr.done
-		sw.mu.Unlock()
-		if done {
-			continue // restored from the journal
-		}
-		sw.wg.Add(1)
-		go sw.runShard(sr)
-	}
-	watchdogDone := make(chan struct{})
-	go func() { defer close(watchdogDone); sw.watchdog() }()
-
-	select {
-	case <-sw.doneCh:
-	case <-sw.failCh:
-	case <-ctx.Done():
-	}
-	sw.cancel()
-	sw.wg.Wait()
-	<-watchdogDone
-
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	if sw.completed < len(runs) {
-		// The sweep did not finish: keep the journal on disk so a later
-		// Resume replays the shards that were durably accepted.
-		if jnl != nil {
-			jnl.close()
-		}
-		if sw.err != nil {
-			return nil, sw.err
-		}
-		return nil, fmt.Errorf("fleet: sweep cancelled: %w", ctx.Err())
-	}
-	if jnl != nil {
-		jnl.finish() // complete: nothing left to resume
-	}
-	res := sw.res
-	res.Pareto = sw.front
 	dse.SortPoints(res.Pareto)
-	res.Elapsed = time.Since(start)
-	res.Shards = len(runs)
-	res.TraceID = traceID
-	f.mu.Lock()
-	f.lastLatencies = append([]time.Duration(nil), sw.latencies...)
-	f.mu.Unlock()
-	span.SetAttr(obs.Int64("explored", res.Explored),
-		obs.Int64("redispatched", res.Redispatched), obs.Int64("stolen", res.Stolen),
-		obs.Int("replayed", res.Replayed))
 	return &res, nil
 }
 
@@ -527,321 +366,26 @@ func (f *Fleet) plan(req serve.DSERequest) ([]*shardRun, tensor.Layer, error) {
 			req:   sreq,
 			route: f.ring.order(serve.DSERouteKey(layer, req.Template, sh.PEs)),
 			hash:  hash,
-			live:  make(map[int]liveAttempt, 2),
 		})
 	}
 	return runs, layer, nil
 }
 
-// runShard walks the shard's failover route until a result is accepted
-// or the attempt budget runs out.
-func (sw *sweep) runShard(sr *shardRun) {
-	defer sw.wg.Done()
-	budget := sw.opts.Rounds * len(sr.route)
-	var lastErr error
-	for n := 0; n < budget; n++ {
-		if sw.ctx.Err() != nil || sr.ctx.Err() != nil {
-			return
-		}
-		host, wrapped := sr.nextHost(sw.f)
-		if wrapped && n > 0 {
-			// Every node has been tried this round; back off before the
-			// next wrap so a fully-open ring doesn't spin.
-			if !sleepCtx(sr.ctx, time.Duration(n)*25*time.Millisecond) {
-				return
-			}
-		}
-		err := sw.attempt(sr, host, false)
-		if err == nil || sr.ctx.Err() != nil {
-			return
-		}
-		lastErr = err
-		sw.noteRedispatch(sr, host, err)
-	}
-	sw.fail.Do(func() {
-		sw.mu.Lock()
-		sw.err = fmt.Errorf("fleet: shard %d/%d failed after %d attempts: %w",
-			sr.shard.Index, sr.shard.Of, budget, lastErr)
-		sw.mu.Unlock()
-		close(sw.failCh)
-	})
-}
-
-// nextHost advances the shard's route cursor, preferring hosts whose
-// breaker is not open and that the health prober considers routable;
-// when every host is open or unhealthy it returns the cursor host
-// anyway (the fast-fail keeps the attempt budget moving, probes
-// half-open breakers, and lets a just-recovered node prove itself
-// before the prober notices). wrapped reports that the cursor passed
-// the route start, i.e. a full failover cycle elapsed.
-func (sr *shardRun) nextHost(f *Fleet) (host string, wrapped bool) {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	n := len(sr.route)
-	for i := 0; i < n; i++ {
-		h := sr.route[(sr.cursor+i)%n]
-		if f.clients[h].BreakerState() != client.BreakerOpen && f.routable(h) {
-			wrapped = (sr.cursor+i)%n == 0
-			sr.cursor = (sr.cursor + i + 1) % n
-			return h, wrapped
-		}
-	}
-	h := sr.route[sr.cursor%n]
-	wrapped = sr.cursor%n == 0
-	sr.cursor = (sr.cursor + 1) % n
-	return h, wrapped
-}
-
-// attempt runs one shard request against one host and merges an
-// accepted result. A nil return means the shard is settled (success or
-// superseded), not necessarily that this attempt's response won.
-func (sw *sweep) attempt(sr *shardRun, host string, stolen bool) error {
-	select {
-	case sw.sem[host] <- struct{}{}:
-	case <-sr.ctx.Done():
-		return nil
-	}
-	defer func() { <-sw.sem[host] }()
-
-	sr.mu.Lock()
-	id := sr.nextID
-	sr.nextID++
-	start := time.Now()
-	sr.live[id] = liveAttempt{start: start, host: host}
-	sr.mu.Unlock()
-	defer func() {
-		sr.mu.Lock()
-		delete(sr.live, id)
-		sr.mu.Unlock()
-	}()
-
-	// The shard span starts from sr.ctx (which carries the sweep span)
-	// and its context flows into the client, so each HTTP attempt's
-	// client.attempt span nests under it and the traceparent header the
-	// client injects names this sweep's trace.
-	sctx, span := obs.Start(sr.ctx, "fleet.shard",
-		obs.Int("shard", sr.shard.Index), obs.String("host", host), obs.Bool("stolen", stolen))
-	resp, err := sw.f.clients[host].DSE(sctx, sr.req)
-	span.SetAttr(obs.Bool("ok", err == nil))
-	span.End()
-	if err != nil {
-		if sr.ctx.Err() != nil {
-			return nil // cancelled: another attempt already settled the shard
-		}
-		sw.f.mu.Lock()
-		sw.f.perNode[host].Errors++
-		sw.f.mu.Unlock()
-		return err
-	}
-	sw.accept(sr, host, resp, time.Since(start), stolen)
-	return nil
-}
-
-// accept merges a shard response exactly once; late duplicates from
-// stolen or raced attempts are counted and dropped. With checkpointing
-// on, the record is appended and fsync'd *before* the shard is marked
-// done — a coordinator killed at any instant either has the shard
-// durable or will re-dispatch it, never neither.
-func (sw *sweep) accept(sr *shardRun, host string, resp *serve.DSEResponse, d time.Duration, stolen bool) {
-	sw.mu.Lock()
-	if sr.done {
-		sw.res.Discarded++
-		sw.f.mu.Lock()
-		sw.f.discarded++
-		sw.f.mu.Unlock()
-		sw.mu.Unlock()
-		return
-	}
-	if sw.jnl != nil {
-		rec := journalRecord{
-			Shard: sr.shard.Index, Of: len(sw.shards), Hash: sr.hash,
-			Host: host, Stolen: stolen, DSE: resp,
-		}
-		if err := sw.jnl.append(rec); err != nil {
-			// Degrade, don't fail the sweep: the result still merges, a
-			// later resume just re-dispatches this shard.
-			sw.res.JournalErrors++
-			if sp := obs.SpanFrom(sw.ctx); sp != nil {
-				sp.Event("fleet.journal_error",
-					obs.Int("shard", sr.shard.Index), obs.String("error", err.Error()))
-			}
-		}
-	}
-	sr.done = true
-	sw.merge(resp)
-	sw.latencies = append(sw.latencies, d)
-	sw.completed++
-	last := sw.completed == len(sw.shards)
-	sw.f.mu.Lock()
-	sw.f.perNode[host].Shards++
-	sw.f.mu.Unlock()
-	sw.mu.Unlock()
-
-	sr.cancel() // abort the losing attempt, if one is in flight
-	if cb := sw.opts.OnShard; cb != nil {
-		cb(ShardResult{Shard: sr.shard, Host: host, Stolen: stolen, Resp: resp})
-	}
-	if last {
-		close(sw.doneCh)
-	}
-}
-
-// restore merges a journaled shard record as if the shard had just
-// completed, without dispatching anything. No latency sample is
-// recorded, so the straggler watchdog's median only reflects shards
-// that actually ran in this process. Called sequentially from Sweep
-// before dispatch starts.
-func (sw *sweep) restore(sr *shardRun, rec journalRecord) {
-	sw.mu.Lock()
-	if sr.done {
-		sw.mu.Unlock()
-		return
-	}
-	sr.done = true
-	sw.merge(rec.DSE)
-	sw.res.Replayed++
-	sw.completed++
-	last := sw.completed == len(sw.shards)
-	sw.mu.Unlock()
-
-	sr.cancel()
-	if cb := sw.opts.OnShard; cb != nil {
-		cb(ShardResult{Shard: sr.shard, Host: rec.Host, Stolen: rec.Stolen, Replayed: true, Resp: rec.DSE})
-	}
-	if last {
-		close(sw.doneCh)
-	}
-}
-
-// merge folds one shard response into the sweep's running result.
-// Caller holds sw.mu.
-func (sw *sweep) merge(resp *serve.DSEResponse) {
+// merge folds one shard response into the running result.
+func (r *Result) merge(resp *serve.DSEResponse) {
 	pts := make([]dse.Point, len(resp.Pareto))
 	for i, j := range resp.Pareto {
 		pts[i] = pointFrom(j)
 	}
-	sw.front = dse.MergePareto(sw.front, pts)
-	sw.res.Raw += resp.Raw
-	sw.res.Explored += resp.Explored
-	sw.res.Invoked += resp.Invoked
-	sw.res.Pricings += resp.Pricings
-	sw.res.Valid += resp.Valid
-	sw.res.ThroughputOpt = mergeOpt(sw.res.ThroughputOpt, resp.ThroughputOpt, betterThroughput)
-	sw.res.EnergyOpt = mergeOpt(sw.res.EnergyOpt, resp.EnergyOpt, betterEnergy)
-	sw.res.EDPOpt = mergeOpt(sw.res.EDPOpt, resp.EDPOpt, betterEDP)
-}
-
-func (sw *sweep) noteRedispatch(sr *shardRun, host string, err error) {
-	sw.mu.Lock()
-	sw.res.Redispatched++
-	sw.mu.Unlock()
-	sw.f.mu.Lock()
-	sw.f.redispatched++
-	sw.f.mu.Unlock()
-	if sp := obs.SpanFrom(sw.ctx); sp != nil {
-		sp.Event("fleet.redispatch", obs.Int("shard", sr.shard.Index),
-			obs.String("host", host), obs.String("error", err.Error()))
-	}
-}
-
-// watchdog periodically compares each running attempt's age against the
-// median completed-shard latency and steals the slowest shard onto an
-// idle healthy node when it falls StragglerFactor behind.
-func (sw *sweep) watchdog() {
-	t := time.NewTicker(sw.opts.WatchTick)
-	defer t.Stop()
-	for {
-		select {
-		case <-sw.ctx.Done():
-			return
-		case <-sw.doneCh:
-			return
-		case <-t.C:
-		}
-		med := sw.medianLatency()
-		if med <= 0 {
-			continue // nothing completed yet: no baseline to judge by
-		}
-		cut := time.Duration(sw.opts.StragglerFactor * float64(med))
-		if cut < sw.opts.StragglerMin {
-			cut = sw.opts.StragglerMin
-		}
-		now := time.Now()
-		for _, sr := range sw.shards {
-			if host, ok := sw.stragglerTarget(sr, now, cut); ok {
-				sw.mu.Lock()
-				sw.res.Stolen++
-				sw.mu.Unlock()
-				sw.f.mu.Lock()
-				sw.f.stolen++
-				sw.f.mu.Unlock()
-				if sp := obs.SpanFrom(sw.ctx); sp != nil {
-					sp.Event("fleet.steal", obs.Int("shard", sr.shard.Index), obs.String("host", host))
-				}
-				sw.wg.Add(1)
-				go func(sr *shardRun, host string) {
-					defer sw.wg.Done()
-					sw.attempt(sr, host, true)
-				}(sr, host)
-			}
-		}
-	}
-}
-
-// stragglerTarget decides whether sr's sole running attempt is overdue
-// and picks the node to steal it onto: the next host on sr's failover
-// route that is healthy, not already running this shard, and has a free
-// slot. Each shard is stolen at most once.
-func (sw *sweep) stragglerTarget(sr *shardRun, now time.Time, cut time.Duration) (string, bool) {
-	sw.mu.Lock()
-	done := sr.done
-	sw.mu.Unlock()
-	if done {
-		return "", false
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.stole || len(sr.live) != 1 {
-		return "", false
-	}
-	var running liveAttempt
-	for _, a := range sr.live {
-		running = a
-	}
-	if now.Sub(running.start) < cut {
-		return "", false
-	}
-	busy := running.host
-	for i := 0; i < len(sr.route); i++ {
-		h := sr.route[(sr.cursor+i)%len(sr.route)]
-		if h == busy {
-			continue
-		}
-		if sw.f.clients[h].BreakerState() == client.BreakerOpen {
-			continue
-		}
-		if !sw.f.routable(h) {
-			continue
-		}
-		if len(sw.sem[h]) >= cap(sw.sem[h]) {
-			continue
-		}
-		sr.stole = true
-		return h, true
-	}
-	return "", false
-}
-
-func (sw *sweep) medianLatency() time.Duration {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	n := len(sw.latencies)
-	if n == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), sw.latencies...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[n/2]
+	r.Pareto = dse.MergePareto(r.Pareto, pts)
+	r.Raw += resp.Raw
+	r.Explored += resp.Explored
+	r.Invoked += resp.Invoked
+	r.Pricings += resp.Pricings
+	r.Valid += resp.Valid
+	r.ThroughputOpt = mergeOpt(r.ThroughputOpt, resp.ThroughputOpt, betterThroughput)
+	r.EnergyOpt = mergeOpt(r.EnergyOpt, resp.EnergyOpt, betterEnergy)
+	r.EDPOpt = mergeOpt(r.EDPOpt, resp.EDPOpt, betterEDP)
 }
 
 func betterThroughput(a, b dse.Point) bool {
@@ -897,18 +441,4 @@ func sortedDedup(s []int) []int {
 		}
 	}
 	return out[:n]
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -2,16 +2,12 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"net/http"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/dse"
+	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/serve/client"
 )
 
 // FusionShardResult is one merged fusion chunk, streamed via
@@ -33,231 +29,84 @@ type FusionResult struct {
 	Points []dse.FusionPoint
 	Best   *dse.FusionPoint
 
-	Raw    int64
-	Valid  int64
-	Shards int
-	// Redispatched counts failover attempts after a node refused or
-	// failed a shard.
-	Redispatched int64
-	// Replayed counts shards restored from the checkpoint journal
-	// instead of dispatched.
-	Replayed int
-	// JournalErrors counts shard results that merged but could not be
-	// made durable (append or fsync failed).
-	JournalErrors int64
-	Elapsed       time.Duration
+	Raw   int64
+	Valid int64
+
+	Counters
 }
 
 // SweepFusion partitions req's L2 budget grid, dispatches the shards
-// across the fleet's nodes with ring failover, and merges the results
-// into one sweep over the full (budget x granularity) plane. The
-// granularity axis stays whole per shard — partitionings at one budget
-// share a node's scheduler re-tunes, so splitting the budget axis is
-// the cache-friendly cut. SweepFusion blocks until every shard
-// completes, the context is cancelled, or a shard exhausts its rounds.
+// across the fleet's nodes, and merges the results into one sweep over
+// the full (budget x granularity) plane. The granularity axis stays
+// whole per shard — partitionings at one budget share a node's
+// scheduler re-tunes, so splitting the budget axis is the cache-friendly
+// cut. Shard i prefers host i mod n and fails over along the host list;
+// the scheduler, journal and limits are Sweep's. SweepFusion blocks
+// until every shard completes, the context is cancelled, a node refuses
+// a shard with a hard 4xx, or a shard exhausts its failover budget.
 func (f *Fleet) SweepFusion(ctx context.Context, req serve.FusionRequest) (*FusionResult, error) {
 	req = req.WithDefaults()
-	start := time.Now()
 	chunks := dse.PartitionFusionGrid(req.L2Grid, len(f.opts.Hosts)*f.opts.ShardsPerNode)
 	if len(chunks) == 0 {
 		return nil, fmt.Errorf("fleet: fusion sweep of %q has an empty budget grid", req.Model)
 	}
-
-	// Open the write-ahead journal before anything is dispatched; see
-	// journal.go for the record format and Sweep for the DSE twin of
-	// this logic.
-	var jnl *journal
-	if f.opts.CheckpointDir != "" {
-		hash, err := sweepHashFusion(req)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: hashing fusion request: %w", err)
-		}
-		jnl, err = openJournal(f.opts.CheckpointDir, journalKindFusion, hash, f.opts.Resume)
-		if err != nil {
-			return nil, err
-		}
+	hash, err := sweepHashFusion(req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: hashing fusion request: %w", err)
 	}
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu            sync.Mutex
-		points        []dse.FusionPoint
-		raw, valid    int64
-		redispatched  int64
-		replayed      int
-		journalErrors int64
-		model         string
-		macs          int64
-		firstErr      error
-	)
-	mergeResp := func(resp *serve.FusionResponse) {
-		model, macs = resp.Model, resp.MACs
-		raw += resp.Raw
-		valid += resp.Valid
-		for _, pj := range resp.Points {
-			points = append(points, fusionPointFrom(pj))
-		}
-	}
-	var wg sync.WaitGroup
+	hosts := f.opts.Hosts
+	runs := make([]*shardRun, len(chunks))
 	for i, chunk := range chunks {
 		sreq := req
 		sreq.L2Grid = chunk
 		sreq.Shard = &serve.FusionShard{Index: i, Of: len(chunks)}
-		var hash string
-		if jnl != nil {
-			hreq := sreq
-			hreq.TimeoutMs = 0
-			hreq.NoCache = false
-			var err error
-			hash, err = canonicalHash(journalKindFusion, hreq)
-			if err != nil {
-				jnl.close()
-				return nil, fmt.Errorf("fleet: hashing fusion shard request: %w", err)
-			}
-			// Replay: only a record written for this exact chunk of the
-			// budget grid, under this exact partition, restores. Dispatch
-			// goroutines for earlier chunks may already be merging, so the
-			// replay merge takes the same lock (and keeps the callback
-			// under it — OnFusionShard is serialized on both paths).
-			if rec, ok := jnl.lookup(hash); ok && rec.Of == len(chunks) && rec.Shard == i {
-				mu.Lock()
-				mergeResp(rec.Fusion)
-				replayed++
-				if cb := f.opts.OnFusionShard; cb != nil {
-					cb(FusionShardResult{Shard: i, Of: len(chunks), Host: rec.Host, Replayed: true, Resp: rec.Fusion})
-				}
-				mu.Unlock()
-				continue
-			}
+		hreq := sreq
+		hreq.TimeoutMs = 0
+		hreq.NoCache = false
+		shash, err := canonicalHash(journalKindFusion, hreq)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: hashing fusion shard request: %w", err)
 		}
-		wg.Add(1)
-		go func(i int, sreq serve.FusionRequest, hash string) {
-			defer wg.Done()
-			resp, host, retries, err := f.dispatchFusion(ctx, i, sreq)
-			mu.Lock()
-			defer mu.Unlock()
-			redispatched += retries
-			if err != nil {
-				if firstErr == nil && ctx.Err() == nil {
-					firstErr = fmt.Errorf("fleet: fusion shard %d/%d: %w", i, len(chunks), err)
-					cancel()
-				}
-				return
+		route := make([]string, len(hosts))
+		for k := range hosts {
+			route[k] = hosts[(i+k)%len(hosts)]
+		}
+		runs[i] = &shardRun{shard: dse.Shard{Index: i, Of: len(chunks)}, req: sreq, route: route, hash: shash}
+	}
+
+	var res FusionResult
+	res.Counters, err = f.run(ctx, sweepSpec{
+		kind: journalKindFusion, hash: hash, runs: runs,
+		attrs: []obs.Attr{obs.String("model", req.Model)},
+		merge: func(rec *journalRecord) {
+			resp := rec.Fusion
+			res.Model, res.MACs = resp.Model, resp.MACs
+			res.Raw += resp.Raw
+			res.Valid += resp.Valid
+			for _, pj := range resp.Points {
+				res.Points = append(res.Points, fusionPointFrom(pj))
 			}
-			if jnl != nil {
-				// fsync-before-merge: the shard only counts once durable.
-				rec := journalRecord{Shard: i, Of: len(chunks), Hash: hash, Host: host, Fusion: resp}
-				if err := jnl.append(rec); err != nil {
-					journalErrors++
-				}
-			}
-			mergeResp(resp)
+		},
+		stream: func(sr *shardRun, rec *journalRecord, replayed bool) {
 			if cb := f.opts.OnFusionShard; cb != nil {
-				cb(FusionShardResult{Shard: i, Of: len(chunks), Host: host, Resp: resp})
+				cb(FusionShardResult{Shard: sr.shard.Index, Of: sr.shard.Of, Host: rec.Host, Replayed: replayed, Resp: rec.Fusion})
 			}
-		}(i, sreq, hash)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		if jnl != nil {
-			jnl.close() // keep the journal for a later resume
-		}
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		if jnl != nil {
-			jnl.close()
-		}
+		},
+	})
+	if err != nil {
 		return nil, err
 	}
-	if jnl != nil {
-		jnl.finish() // complete: nothing left to resume
-	}
-
-	sort.Slice(points, func(a, b int) bool {
-		if points[a].L2Bytes != points[b].L2Bytes {
-			return points[a].L2Bytes < points[b].L2Bytes
+	sort.Slice(res.Points, func(a, b int) bool {
+		pa, pb := res.Points[a], res.Points[b]
+		if pa.L2Bytes != pb.L2Bytes {
+			return pa.L2Bytes < pb.L2Bytes
 		}
-		return points[a].MaxGroupLayers < points[b].MaxGroupLayers
+		return pa.MaxGroupLayers < pb.MaxGroupLayers
 	})
-	res := &FusionResult{
-		Model: model, MACs: macs,
-		Points: points,
-		Raw:    raw, Valid: valid,
-		Shards:        len(chunks),
-		Redispatched:  redispatched,
-		Replayed:      replayed,
-		JournalErrors: journalErrors,
-		Elapsed:       time.Since(start),
-	}
-	if best, ok := dse.BestFusion(points); ok {
+	if best, ok := dse.BestFusion(res.Points); ok {
 		res.Best = &best
 	}
-	f.mu.Lock()
-	f.sweeps++
-	f.shards += int64(len(chunks))
-	f.redispatched += redispatched
-	f.mu.Unlock()
-	return res, nil
-}
-
-// dispatchFusion walks the ring from the shard's home node until a
-// node accepts, retrying up to Rounds full wraps with a backoff
-// between wraps. Hosts the health prober marks unroutable fall to the
-// back of each wrap's order — still tried as a last resort so a sweep
-// survives a universally-unhealthy reading, but never preferred over a
-// live node. Returns the accepted response, the host that produced it,
-// and the number of failed attempts that preceded it.
-func (f *Fleet) dispatchFusion(ctx context.Context, shard int, req serve.FusionRequest) (*serve.FusionResponse, string, int64, error) {
-	hosts := f.opts.Hosts
-	var retries int64
-	var lastErr error
-	for round := 0; round < f.opts.Rounds; round++ {
-		order := make([]string, 0, len(hosts))
-		var unhealthy []string
-		for k := range hosts {
-			h := hosts[(shard+k)%len(hosts)]
-			if f.routable(h) {
-				order = append(order, h)
-			} else {
-				unhealthy = append(unhealthy, h)
-			}
-		}
-		order = append(order, unhealthy...)
-		for _, host := range order {
-			if err := ctx.Err(); err != nil {
-				return nil, "", retries, err
-			}
-			resp, err := f.clients[host].Fusion(ctx, req)
-			f.mu.Lock()
-			ns := f.perNode[host]
-			if err != nil {
-				ns.Errors++
-			} else {
-				ns.Shards++
-			}
-			f.mu.Unlock()
-			if err == nil {
-				return resp, host, retries, nil
-			}
-			// A hard 4xx is the request's fault, not the node's: every
-			// node would refuse it the same way, so fail the shard now.
-			// 408/429 stay retryable — another node may have capacity.
-			var apiErr *client.APIError
-			if errors.As(err, &apiErr) && apiErr.Status >= 400 && apiErr.Status < 500 &&
-				apiErr.Status != http.StatusRequestTimeout && apiErr.Status != http.StatusTooManyRequests {
-				return nil, "", retries, err
-			}
-			lastErr = err
-			retries++
-		}
-		if !sleepCtx(ctx, time.Duration(round+1)*50*time.Millisecond) {
-			return nil, "", retries, ctx.Err()
-		}
-	}
-	return nil, "", retries, fmt.Errorf("no node accepted after %d rounds: %w", f.opts.Rounds, lastErr)
+	return &res, nil
 }
 
 // fusionPointFrom converts the wire point back to the dse type.

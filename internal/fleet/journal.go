@@ -270,11 +270,15 @@ func canonicalHash(kind string, v any) (string, error) {
 	return hex.EncodeToString(h.Sum(nil)[:16]), nil
 }
 
-// sweepHashDSE keys a DSE sweep's journal: the defaulted request with
-// the delivery-only knobs (timeout, cache bypass, response truncation)
-// and any stray shard descriptor zeroed, so retries of the same sweep
-// resolve to the same file.
+// sweepHashDSE keys a DSE sweep's journal: the request with defaults
+// filled and the PE and P1 axes sorted and deduplicated (as Fleet.plan
+// partitions it), the delivery-only knobs (timeout, cache bypass,
+// response truncation) and any stray shard descriptor zeroed, so
+// retries of the same sweep resolve to the same file.
 func sweepHashDSE(req serve.DSERequest) (string, error) {
+	req = req.WithDefaults()
+	req.PEs = sortedDedup(req.PEs)
+	req.P1 = sortedDedup(req.P1)
 	req.Shard = nil
 	req.TopK = 0
 	req.TimeoutMs = 0

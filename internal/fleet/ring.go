@@ -1,9 +1,10 @@
-// Package fleet coordinates distributed DSE sweeps: it shards a design
-// space along the PE-count and tile-knob axes, dispatches the shards to
-// a pool of maestro-serve nodes over the resilient client, and merges
-// the partial Pareto fronts incrementally as shards complete.
+// Package fleet coordinates distributed DSE and fusion sweeps: it
+// shards a design space (DSE: the PE-count and tile-knob axes; fusion:
+// the L2 budget grid), dispatches the shards to a pool of maestro-serve
+// nodes over the resilient client through one shard scheduler, and
+// merges the partial results incrementally as shards complete.
 //
-// Routing is deterministic: shards hash onto a consistent ring over the
+// Routing is deterministic: DSE shards hash onto a consistent ring over the
 // node set keyed by the canonical (layer, template, PE subset) triple —
 // the same key family the servers' profile caches are warmed by — so a
 // repeated or follow-up sweep lands each shard on the node that already

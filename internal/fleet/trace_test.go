@@ -10,12 +10,39 @@ import (
 	"repro/internal/obs"
 )
 
-// TestFleetStitchedTrace is the PR's acceptance check: a traced 2-node
-// sweep must assemble into a single stitched trace in which every
-// serve.compute span on every node is reachable from the coordinator's
-// fleet.sweep root by parent links, all spans share the sweep's trace
-// ID, and the Chrome export renders one process lane per node.
+// TestFleetStitchedTrace is the acceptance check for distributed
+// tracing, for both sweep kinds: a traced 2-node sweep must assemble
+// into a single stitched trace in which every client.attempt sits under
+// a fleet.shard span, every serve.compute span on every node is
+// reachable from the coordinator's fleet.sweep root by parent links,
+// all spans share the sweep's trace ID, and the Chrome export renders
+// one process lane per node.
 func TestFleetStitchedTrace(t *testing.T) {
+	sweeps := []struct {
+		name string
+		run  func(ctx context.Context, f *Fleet) (Counters, error)
+	}{
+		{"dse", func(ctx context.Context, f *Fleet) (Counters, error) {
+			res, err := f.Sweep(ctx, fleetReq())
+			if err != nil {
+				return Counters{}, err
+			}
+			return res.Counters, nil
+		}},
+		{"fusion", func(ctx context.Context, f *Fleet) (Counters, error) {
+			res, err := f.SweepFusion(ctx, fusionFleetReq())
+			if err != nil {
+				return Counters{}, err
+			}
+			return res.Counters, nil
+		}},
+	}
+	for _, sweep := range sweeps {
+		t.Run(sweep.name, func(t *testing.T) { checkStitchedTrace(t, sweep.run) })
+	}
+}
+
+func checkStitchedTrace(t *testing.T, sweep func(ctx context.Context, f *Fleet) (Counters, error)) {
 	hosts, _, hc := newNodes(t, 2)
 	f, err := New(fastFleet(hosts, hc))
 	if err != nil {
@@ -25,7 +52,7 @@ func TestFleetStitchedTrace(t *testing.T) {
 
 	rec := obs.NewRecorder()
 	ctx := obs.WithRecorder(context.Background(), rec)
-	res, err := f.Sweep(ctx, fleetReq())
+	res, err := sweep(ctx, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +98,11 @@ func TestFleetStitchedTrace(t *testing.T) {
 	}
 	if rootID == 0 {
 		t.Fatal("no fleet.sweep root in stitched trace")
+	}
+	for _, s := range ft.Spans {
+		if s.Name == "client.attempt" && byID[s.Parent].Name != "fleet.shard" {
+			t.Errorf("client.attempt %d has parent %q, want fleet.shard", s.ID, byID[s.Parent].Name)
+		}
 	}
 
 	reaches := func(s obs.SpanRecord) bool {

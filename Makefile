@@ -22,14 +22,17 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz smoke over the parser targets, the batch-vs-sequential
-# pricing differential and the canonical key encoder (one -fuzz per
-# invocation, a Go toolchain constraint).
+# pricing differential, the traceparent header parser, the fusion
+# partitioner, the fleet journal replay and the canonical key encoder
+# (one -fuzz per invocation, a Go toolchain constraint). CI runs this
+# target, so the list lives only here.
 fuzz:
 	$(GO) test -fuzz=FuzzParseDataflow -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseNetwork -fuzztime=10s -run xxx ./internal/dataflow/
 	$(GO) test -fuzz=FuzzParseHW -fuzztime=10s -run xxx ./internal/hw/
 	$(GO) test -fuzz=FuzzPartition -fuzztime=10s -run xxx ./internal/dse/
 	$(GO) test -fuzz=FuzzPriceBatch -fuzztime=10s -run xxx ./internal/core/
+	$(GO) test -fuzz=FuzzExtractTraceparent -fuzztime=10s -run xxx ./internal/obs/
 	$(GO) test -fuzz=FuzzPartitionDAG -fuzztime=10s -run xxx ./internal/netsched/
 	$(GO) test -fuzz=FuzzJournalReplay -fuzztime=10s -run xxx ./internal/fleet/
 	$(GO) test -fuzz=FuzzCanonicalKey -fuzztime=10s -run xxx ./internal/canon/

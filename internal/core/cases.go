@@ -17,7 +17,7 @@ type loopClass struct {
 // caseEnum enumerates the data-iteration cases of one cluster level
 // (Figure 8's ExtractDataIterationCases). It owns the scratch slices the
 // enumeration walks over, so the per-case callbacks allocate nothing:
-// one caseEnum serves every case of one analyzeLevel/profileLevel call.
+// one caseEnum serves every case of one profileLevel call.
 type caseEnum struct {
 	a     *reuse.Analysis
 	loops []reuse.Loop

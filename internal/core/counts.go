@@ -1,9 +1,11 @@
 // Package core is MAESTRO's performance- and cost-analysis engine
-// (Sections 4.2-4.4): it walks a resolved dataflow level by level,
-// enumerates the data-iteration cases (Init/Steady/Edge cross products,
-// Figure 8), prices each case's ingress/egress traffic and compute under
-// the abstract hardware model, and aggregates runtime, activity counts,
-// buffer requirements and energy.
+// (Sections 4.2-4.4). It runs in two phases. Profile walks a resolved
+// dataflow level by level and records the data-iteration cases
+// (Init/Steady/Edge cross products, Figure 8) with their
+// hardware-independent traffic. Price then prices each case's
+// ingress/egress traffic and compute under the abstract hardware model
+// and aggregates runtime, activity counts, buffer requirements and
+// energy. Analyze is the two phases back to back.
 package core
 
 import (
@@ -47,20 +49,6 @@ type counts struct {
 	bufReq   []TensorCounts // 2x max live tile per buffer, elements
 	macs     int64          // dense partial sums computed
 	finalOut int64          // final (fully reduced) output elements committed
-}
-
-func newCounts(buffers int) *counts {
-	// One backing array serves all three per-buffer tables; the full
-	// slice expressions keep an (impossible) append on one table from
-	// bleeding into the next.
-	tc := make([]TensorCounts, 3*buffers)
-	return &counts{
-		bufRead:  tc[:buffers:buffers],
-		bufWrite: tc[buffers : 2*buffers : 2*buffers],
-		bufReq:   tc[2*buffers:],
-		noc:      make([]int64, buffers-1),
-		peakBW:   make([]float64, buffers-1),
-	}
 }
 
 // addScaled accumulates o's additive fields scaled by times and merges

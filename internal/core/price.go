@@ -12,12 +12,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Price prices a recorded profile under one hardware configuration. The
-// result is bit-identical to Analyze(profile.Spec(), cfg): pricing
-// replays exactly the hardware-dependent arithmetic of the fused engine
-// — VectorWidth/SparseImbalance at the leaves, Multicast/Reduction
+// Price prices a recorded profile under one hardware configuration.
+// Pricing is the hardware-dependent half of the analysis —
+// VectorWidth/SparseImbalance at the leaves, Multicast/Reduction
 // capabilities and Delay/DelayPer of the per-level NoC models, and the
-// per-case outstanding-delay max — over the recorded quantities.
+// per-case outstanding-delay max — applied to the quantities Profile
+// recorded. Analyze(spec, cfg) is exactly Price(Profile(spec), cfg).
 func Price(p *LayerProfile, cfg hw.Config) (*Result, error) {
 	return p.Price(cfg)
 }
@@ -166,12 +166,7 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 	sc.lanes = sc.lanes[:0]
 	sc.cfgs = sc.cfgs[:0]
 	for i := range cfgs {
-		c := cfgs[i].Normalize()
-		err := c.Validate()
-		if err == nil && p.spec.NumPEs != c.NumPEs {
-			err = fmt.Errorf("%w: core: spec resolved for %d PEs but hardware has %d",
-				hw.ErrInvalidConfig, p.spec.NumPEs, c.NumPEs)
-		}
+		c, err := checkConfig(p.spec, cfgs[i])
 		if err != nil {
 			sc.errs[i] = err
 			anyErr = true
@@ -242,18 +237,17 @@ func (p *LayerProfile) priceBatchInto(sc *batchScratch, cfgs []hw.Config, result
 
 	rootNode := nNodes - 1
 	for l, lane := range sc.lanes {
-		root := nodeRes{
-			runtime: sc.runtimes[rootNode*nl+l],
-			counts:  &sc.counts[rootSlot*nl+l],
-		}
-		fillResult(&resArr[l], p.spec, sc.cfgs[l], &root)
+		fillResult(&resArr[l], p.spec, sc.cfgs[l],
+			sc.runtimes[rootNode*nl+l], &sc.counts[rootSlot*nl+l])
 		results[lane] = &resArr[l]
 	}
 	return anyErr
 }
 
-// priceLevelBatch replays analyzeLevel's hardware-dependent arithmetic
-// over one level node's recorded cases for every lane at once. The
+// priceLevelBatch prices one level node's recorded cases for every lane
+// at once: per case, the NoC turns ingress and egress into delays, the
+// outstanding delay is the max of ingress, compute and egress (their sum
+// on the serialized first step), and the activity accumulates. The
 // loop nest is cases-outer, lanes-inner: each recorded quantity is
 // loaded once per case and priced against all configurations while it
 // is hot. Per-lane arithmetic is fully independent, which is what makes

@@ -123,7 +123,7 @@ func TestPriceBandwidthMonotonicProperty(t *testing.T) {
 		prevRuntime := int64(-1)
 		for p, cfg := range cfgs {
 			bw := cfg.NoCs[0].Bandwidth
-			want, errA := Analyze(spec, cfg)
+			want, errA := refAnalyze(spec, cfg)
 			got, errP := prof.Price(cfg)
 			if (errA == nil) != (errP == nil) {
 				t.Fatalf("case %d (%s/%s) bw=%.2f: error mismatch: analyze=%v price=%v",

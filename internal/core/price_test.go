@@ -98,7 +98,7 @@ func TestPriceEquivalence(t *testing.T) {
 				t.Fatalf("%s/%s: Profile: %v", df.Name, layer.Name, err)
 			}
 			for _, cfg := range cfgs {
-				want, errA := Analyze(spec, cfg)
+				want, errA := refAnalyze(spec, cfg)
 				got, errP := prof.Price(cfg)
 				if (errA == nil) != (errP == nil) {
 					t.Fatalf("%s/%s/%s: error mismatch: analyze=%v price=%v",
@@ -484,24 +484,24 @@ func BenchmarkPriceBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkProfileVsAnalyze compares the fused one-shot engine against
-// the split phases: Profile (the expensive walk, paid once) and Price
-// (the cheap per-hardware-point replay, paid per configuration).
+// BenchmarkProfileVsAnalyze breaks one-shot Analyze into its two
+// phases: Profile (the expensive walk, paid once per profile) and Price
+// (the cheap per-hardware-point pricing, paid per configuration).
+// Reference times the test-only fused walk (refAnalyze), which shows
+// what one-shot callers pay for recording the case DAG before pricing
+// it.
 func BenchmarkProfileVsAnalyze(b *testing.B) {
-	const pes = 256
-	layer := models.VGG16().Layers[10].Layer
-	df := dataflows.Get("KC-P")
-	spec, err := dataflow.Resolve(df, layer, pes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := noc.Bus(16)
-	m.Reduction = true
-	cfg := hw.Config{Name: "bench", NumPEs: pes, NoCs: []noc.Model{m}}.Normalize()
-
+	spec, cfg := oneShotCase(b)
 	b.Run("Analyze", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := Analyze(spec, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := refAnalyze(spec, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -524,6 +524,39 @@ func BenchmarkProfileVsAnalyze(b *testing.B) {
 			}
 		}
 	})
+}
+
+// oneShotCase is the one-shot workload BenchmarkProfileVsAnalyze times
+// and TestAnalyzeAllocs gates: KC-P on VGG16 Layers[10] over 256 PEs.
+func oneShotCase(tb testing.TB) (*dataflow.Spec, hw.Config) {
+	tb.Helper()
+	const pes = 256
+	spec, err := dataflow.Resolve(dataflows.Get("KC-P"), models.VGG16().Layers[10].Layer, pes)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m := noc.Bus(16)
+	m.Reduction = true
+	return spec, hw.Config{Name: "bench", NumPEs: pes, NoCs: []noc.Model{m}}.Normalize()
+}
+
+// TestAnalyzeAllocs pins one-shot Analyze's allocation count: one
+// Profile walk (its memo, node records and sealed arena) plus one Price
+// (the Result and its tables; the pricing scratch is pooled).
+func TestAnalyzeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the pricing scratch pool drops values at random under -race")
+	}
+	spec, cfg := oneShotCase(t)
+	const maxAllocs = 77
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := Analyze(spec, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > maxAllocs {
+		t.Errorf("one-shot Analyze allocates %v times, want at most %d", n, maxAllocs)
+	}
 }
 
 // TestProfileKeyAllocs pins the profile key's cost: the one augmented

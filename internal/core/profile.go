@@ -5,10 +5,11 @@
 // hw.Config). Profile runs that walk once per (dataflow, layer, numPEs)
 // and records, per case, the hardware-independent quantities: per-tensor
 // ingress (per-PE and union), egress, occurrence counts, active
-// sub-clusters, and buffer requirements. Price (price.go) then re-prices
+// sub-clusters, and buffer requirements. Price (price.go) then prices
 // the recorded DAG under any hardware point in microseconds, which is
-// what lets the DSE sweep the NoC-bandwidth axis without re-running the
-// engine.
+// what lets the DSE sweep the NoC-bandwidth axis without re-walking the
+// dataflow. The two phases are the whole engine: Analyze is Profile
+// followed by Price.
 package core
 
 import (
@@ -96,21 +97,31 @@ func (p *LayerProfile) Cases() int {
 	return int(p.caseStart[len(p.caseStart)-1])
 }
 
+// memoKey identifies a (cluster level, sub-problem) node. Edge chunks at
+// outer levels shrink the sub-problem, so the same level is analyzed for
+// the handful of distinct tile shapes that occur (the paper reports <20
+// such edge sub-cases across levels, which holds here too).
+type memoKey struct {
+	level int
+	dims  tensor.Sizes
+}
+
 // profNode is one memoized (level, sub-problem) node in the profiler's
 // transient recording format. The walk is recursive — a case's children
 // (and their cases) are recorded mid-enumeration — so per-node case
 // slices are the natural shape while recording; seal flattens them into
 // the LayerProfile arena once the walk completes. Leaves carry their
-// precomputed activity (fully hardware-independent); cluster levels
-// carry the recorded cases plus the final-flush quantities.
+// MAC counts and L1 staging requirement (the rest of a PE pass's
+// activity follows from the effective MACs); cluster levels carry the
+// recorded cases plus the final-flush quantities.
 type profNode struct {
 	level int
 	leaf  bool
 
 	// Leaf fields.
-	psums      int64   // dense MACs of the tile
-	eff        int64   // density-scaled effective MACs
-	leafCounts *counts // activity; shared read-only across Price calls
+	psums  int64        // dense MACs of the tile
+	eff    int64        // density-scaled effective MACs
+	bufReq TensorCounts // double-buffered L1 staging requirement
 
 	// Cluster-level fields.
 	outputReduced bool
@@ -140,8 +151,8 @@ type profCase struct {
 	bufReq  TensorCounts // double-buffered staging requirement at this level
 }
 
-// profiler mirrors engine but records case quantities instead of pricing
-// them.
+// profiler walks a resolved dataflow and records every node's case
+// quantities for later pricing.
 type profiler struct {
 	spec  *dataflow.Spec
 	layer tensor.Layer
@@ -225,7 +236,7 @@ func (p *profiler) seal(spec *dataflow.Spec) *LayerProfile {
 			lp.nodeSlot[i] = s
 			lp.leafPsums[s] = n.psums
 			lp.leafEff[s] = n.eff
-			lp.leafBufReq[s] = n.leafCounts.bufReq[p.nlv]
+			lp.leafBufReq[s] = n.bufReq
 			continue
 		}
 		s := nextLevel
@@ -301,16 +312,25 @@ func (p *profiler) profile(level int, dims tensor.Sizes) (int32, error) {
 }
 
 // profileLeaf records one PE tile: its dense and effective MACs plus the
-// (hardware-independent) scratchpad activity.
+// double-buffered L1 staging requirement of every tensor.
 func (p *profiler) profileLeaf(dims tensor.Sizes) profNode {
-	c := leafCounts(p.layer, dims, p.nlv)
-	eff := scaleCount(c.macs, p.layer.Density[tensor.Input]*weightDensity(p.layer))
-	return profNode{level: p.nlv, leaf: true, psums: c.macs, eff: eff, leafCounts: c}
+	psums := psumsFor(p.layer, dims)
+	n := profNode{
+		level: p.nlv, leaf: true, psums: psums,
+		eff: scaleCount(psums, p.layer.Density[tensor.Input]*weightDensity(p.layer)),
+	}
+	for _, k := range tensor.AllKinds() {
+		n.bufReq[k] = 2 * scaleCount(tileForDims(p.layer, dims, k), p.layer.Density[k])
+	}
+	return n
 }
 
-// profileLevel mirrors engine.analyzeLevel case for case, recording the
-// raw per-PE/union quantities each case's pricing needs instead of
-// applying a NoC model to them.
+// profileLevel enumerates the data-iteration cases of one cluster level:
+// the very first step, plus, for every multi-step loop, the steps at
+// which that loop advances, crossed with first/steady/edge classes of
+// the loops outside it (Figure 8's ExtractDataIterationCases). Each case
+// records the raw per-PE/union quantities its pricing needs; no NoC
+// model is applied here.
 func (p *profiler) profileLevel(level int, dims tensor.Sizes) (profNode, error) {
 	lv, err := p.spec.Level(level, dims)
 	if err != nil {

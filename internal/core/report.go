@@ -62,31 +62,25 @@ type Result struct {
 	sizes TensorCounts
 }
 
-func buildResult(spec *dataflow.Spec, cfg hw.Config, root *nodeRes) *Result {
-	r := &Result{}
-	fillResult(r, spec, cfg, root)
-	return r
-}
-
 // fillResult writes one priced root into a caller-provided Result slot;
 // PriceBatch fills a preallocated []Result this way so a whole batch
 // costs one slice allocation. The slice-valued tables retain the root
 // accumulator's backing.
-func fillResult(r *Result, spec *dataflow.Spec, cfg hw.Config, root *nodeRes) {
+func fillResult(r *Result, spec *dataflow.Spec, cfg hw.Config, runtime int64, root *counts) {
 	layer := spec.Layer
 	*r = Result{
 		Layer:         layer,
 		DataflowName:  spec.Dataflow.Name,
 		Cfg:           cfg,
 		UsedPEs:       spec.UsedPEs(),
-		OnChipRuntime: root.runtime,
-		MACs:          root.counts.macs,
-		FinalOutputs:  root.counts.finalOut,
-		BufRead:       root.counts.bufRead,
-		BufWrite:      root.counts.bufWrite,
-		BufReq:        root.counts.bufReq,
-		NoCTraffic:    root.counts.noc,
-		PeakBW:        root.counts.peakBW,
+		OnChipRuntime: runtime,
+		MACs:          root.macs,
+		FinalOutputs:  root.finalOut,
+		BufRead:       root.bufRead,
+		BufWrite:      root.bufWrite,
+		BufReq:        root.bufReq,
+		NoCTraffic:    root.noc,
+		PeakBW:        root.peakBW,
 	}
 	for _, k := range tensor.AllKinds() {
 		r.sizes[k] = scaleCount(layer.TensorSize(k), layer.Density[k])
@@ -94,76 +88,121 @@ func fillResult(r *Result, spec *dataflow.Spec, cfg hw.Config, root *nodeRes) {
 	r.applyL2(cfg.L2Size)
 }
 
-// applyL2 derives the DRAM traffic and the end-to-end runtime for a given
-// shared-scratchpad capacity (0 means "exactly the dataflow's staging
-// requirement"). The retention model is all-or-nothing per tensor: after
-// reserving the double-buffered staging requirement, spare L2 capacity
-// retains whole tensors greedily by refetch traffic saved per byte; a
-// retained tensor costs DRAM only its compulsory traffic, an unretained
-// one re-fetches every staged slice from DRAM.
+// DRAMTraffic is one layer's off-chip traffic at one shared-scratchpad
+// capacity, per tensor: the outcome of the L2 retention model.
+type DRAMTraffic struct {
+	// Reads holds the DRAM reads per tensor; the Output entry is the
+	// partial sums re-read after they overflowed L2.
+	Reads TensorCounts
+	// Writes is the output traffic written to DRAM.
+	Writes int64
+	// Spill reports that the staging requirement exceeded the capacity.
+	Spill bool
+}
+
+// Total returns the reads and writes together.
+func (t DRAMTraffic) Total() int64 { return t.Reads.Sum() + t.Writes }
+
+// DRAMAt applies the L2 retention model at a capacity of l2 bytes (0
+// means exactly the dataflow's staging requirement). The model is
+// all-or-nothing per tensor: after reserving the double-buffered staging
+// requirement, spare L2 capacity retains whole tensors greedily by
+// refetch traffic saved per byte; a retained tensor costs DRAM only its
+// compulsory traffic, an unretained one re-fetches every staged slice
+// from DRAM. A capacity below the staging requirement spills (DRAMSpill).
+func (r *Result) DRAMAt(l2 int64) DRAMTraffic {
+	req := r.L2ReqBytes()
+	if l2 == 0 {
+		l2 = req
+	}
+	var t DRAMTraffic
+	r.dramAt(l2, req, &t)
+	return t
+}
+
+// dramAt is DRAMAt at an explicit capacity, given the staging
+// requirement req in bytes, written into a zero *t. It fills a pointer
+// rather than returning the struct because applyL2 runs it once per DSE
+// grid point, where the copy of the return value measured about 15 ns of
+// a 90 ns call.
+func (r *Result) dramAt(l2, req int64, t *DRAMTraffic) {
+	if l2 < req {
+		*t = r.DRAMSpill()
+		return
+	}
+	sizes := r.sizes
+	type cand struct {
+		kind   tensor.Kind
+		bytes  int64
+		saving int64 // DRAM traffic avoided by retaining the tensor
+	}
+	cands := make([]cand, 0, 3)
+	for _, k := range []tensor.Kind{tensor.Input, tensor.Weight, tensor.Output} {
+		size := sizes[k]
+		traffic := r.BufRead[0][k]
+		if k == tensor.Output {
+			traffic = r.BufWrite[0][k] + r.BufRead[0][k]
+		}
+		cands = append(cands, cand{k, size * int64(r.Cfg.ElemBytes), traffic - size})
+	}
+	// Highest saving per byte first.
+	for i := 0; i < len(cands); i++ {
+		for j := i + 1; j < len(cands); j++ {
+			if float64(cands[j].saving)/float64(cands[j].bytes+1) >
+				float64(cands[i].saving)/float64(cands[i].bytes+1) {
+				cands[i], cands[j] = cands[j], cands[i]
+			}
+		}
+	}
+	spare := l2 - req
+	var retained [tensor.NumKinds]bool
+	for _, c := range cands {
+		if c.saving > 0 && c.bytes <= spare {
+			retained[c.kind] = true
+			spare -= c.bytes
+		}
+	}
+	for _, k := range []tensor.Kind{tensor.Input, tensor.Weight} {
+		if retained[k] || r.BufRead[0][k] < sizes[k] {
+			t.Reads[k] = sizes[k]
+		} else {
+			t.Reads[k] = r.BufRead[0][k]
+		}
+	}
+	outSize := sizes[tensor.Output]
+	if retained[tensor.Output] || r.BufWrite[0][tensor.Output] <= outSize {
+		t.Writes = outSize
+	} else {
+		// Partial sums that overflow L2 bounce off DRAM.
+		t.Writes = r.BufWrite[0][tensor.Output]
+		t.Reads[tensor.Output] = r.BufRead[0][tensor.Output]
+	}
+}
+
+// DRAMSpill is the pure-streaming traffic, the policy any capacity can
+// fall back to: every L2-level access goes off-chip.
+func (r *Result) DRAMSpill() DRAMTraffic {
+	var t DRAMTraffic
+	t.Reads[tensor.Input] = r.BufRead[0][tensor.Input]
+	t.Reads[tensor.Weight] = r.BufRead[0][tensor.Weight]
+	t.Writes = r.BufWrite[0][tensor.Output]
+	t.Spill = true
+	return t
+}
+
+// applyL2 derives the DRAM traffic (DRAMAt) and the end-to-end runtime
+// for a given shared-scratchpad capacity (0 means "exactly the
+// dataflow's staging requirement").
 func (r *Result) applyL2(l2 int64) {
 	req := r.L2ReqBytes()
 	if l2 == 0 {
 		l2 = req
 	}
 	r.EffectiveL2 = l2
-	if l2 < req {
-		// The staging tiles themselves do not fit: every L2-level access
-		// spills off-chip.
-		r.L2Spill = true
-		r.DRAMReads = r.BufRead[0][tensor.Input] + r.BufRead[0][tensor.Weight]
-		r.DRAMWrites = r.BufWrite[0][tensor.Output]
-	} else {
-		r.L2Spill = false
-		sizes := r.sizes
-		type cand struct {
-			kind   tensor.Kind
-			bytes  int64
-			saving int64 // DRAM traffic avoided by retaining the tensor
-		}
-		cands := make([]cand, 0, 3)
-		for _, k := range []tensor.Kind{tensor.Input, tensor.Weight, tensor.Output} {
-			size := sizes[k]
-			traffic := r.BufRead[0][k]
-			if k == tensor.Output {
-				traffic = r.BufWrite[0][k] + r.BufRead[0][k]
-			}
-			cands = append(cands, cand{k, size * int64(r.Cfg.ElemBytes), traffic - size})
-		}
-		// Highest saving per byte first.
-		for i := 0; i < len(cands); i++ {
-			for j := i + 1; j < len(cands); j++ {
-				if float64(cands[j].saving)/float64(cands[j].bytes+1) >
-					float64(cands[i].saving)/float64(cands[i].bytes+1) {
-					cands[i], cands[j] = cands[j], cands[i]
-				}
-			}
-		}
-		spare := l2 - req
-		var retained [tensor.NumKinds]bool
-		for _, c := range cands {
-			if c.saving > 0 && c.bytes <= spare {
-				retained[c.kind] = true
-				spare -= c.bytes
-			}
-		}
-		r.DRAMReads, r.DRAMWrites = 0, 0
-		for _, k := range []tensor.Kind{tensor.Input, tensor.Weight} {
-			if retained[k] || r.BufRead[0][k] < sizes[k] {
-				r.DRAMReads += sizes[k]
-			} else {
-				r.DRAMReads += r.BufRead[0][k]
-			}
-		}
-		outSize := sizes[tensor.Output]
-		if retained[tensor.Output] || r.BufWrite[0][tensor.Output] <= outSize {
-			r.DRAMWrites = outSize
-		} else {
-			// Partial sums that overflow L2 bounce off DRAM.
-			r.DRAMWrites = r.BufWrite[0][tensor.Output]
-			r.DRAMReads += r.BufRead[0][tensor.Output]
-		}
-	}
+	var t DRAMTraffic
+	r.dramAt(l2, req, &t)
+	r.L2Spill = t.Spill
+	r.DRAMReads, r.DRAMWrites = t.Reads.Sum(), t.Writes
 	dramDelay := int64(float64(r.DRAMReads+r.DRAMWrites)/r.Cfg.OffchipBandwidth + 0.999999)
 	r.Runtime = r.OnChipRuntime
 	r.Bottleneck = "compute"

@@ -3,6 +3,9 @@ package dse
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/dataflow"
+	"repro/internal/dataflows"
 	"repro/internal/hw"
 	"repro/internal/models"
 )
@@ -120,5 +123,38 @@ func TestPartitionFusionGrid(t *testing.T) {
 	}
 	if got := PartitionFusionGrid(nil, 3); got != nil {
 		t.Fatalf("nil grid gave %v", got)
+	}
+}
+
+// TestExploreFusionProfilesOnce pins the profile reuse of fixed-template
+// fusion sweeps: every grid cell re-runs the scheduler over the same
+// layers and hardware, and each cell looks its layers up in the shared
+// profile cache, so the whole sweep walks each distinct layer at most
+// once.
+func TestExploreFusionProfilesOnce(t *testing.T) {
+	sp := fusionSpace()
+	sp.L2Grid = []int64{0, 64 << 10, 256 << 10}
+	sp.MaxGroupLayers = []int{1, 8}
+	cells := len(sp.L2Grid) * len(sp.MaxGroupLayers)
+	df := dataflows.Get(sp.Dataflow)
+	distinct := map[core.ProfileKey]bool{}
+	for _, li := range sp.Model.Layers {
+		distinct[core.ProfileKeyFor(dataflow.Augment(df, li.Layer), li.Layer, sp.Cfg.NumPEs)] = true
+	}
+
+	pc := core.DefaultProfileCache
+	hits, misses, coalesced := pc.Hits(), pc.Misses(), pc.Coalesced()
+	if _, stats, err := ExploreFusion(sp); err != nil || stats.Valid != int64(cells) {
+		t.Fatalf("sweep: %+v, %v; want %d valid cells", stats, err, cells)
+	}
+	dMiss := pc.Misses() - misses
+	lookups := pc.Hits() - hits + dMiss + pc.Coalesced() - coalesced
+	if dMiss > int64(len(distinct)) {
+		t.Errorf("%d-cell sweep added %d profile cache misses, want at most %d (one per distinct layer)",
+			cells, dMiss, len(distinct))
+	}
+	if want := int64(cells * len(sp.Model.Layers)); lookups < want {
+		t.Errorf("sweep made %d profile cache lookups, want at least %d (every layer of every cell)",
+			lookups, want)
 	}
 }

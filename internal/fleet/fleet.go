@@ -33,8 +33,9 @@ type Options struct {
 	// is raised automatically when the raw space would otherwise exceed
 	// a server's MaxDSEGrid cap per shard.
 	ShardsPerNode int
-	// InflightPerNode caps one sweep's concurrent shard requests per
-	// node, for either sweep kind (default 2).
+	// InflightPerNode caps the concurrent shard requests per node across
+	// every sweep the Fleet runs, of either kind (default 2): concurrent
+	// sweeps queue for the same per-node slots.
 	InflightPerNode int
 	// Rounds bounds how many times a shard may walk the whole ring
 	// before the sweep fails (default 3). Each failover within a round
@@ -158,6 +159,8 @@ type Fleet struct {
 	ring    *ring
 	clients map[string]*client.Client
 	prober  *prober // nil when probing is disabled
+	// sem holds each host's InflightPerNode slots, shared by every sweep.
+	sem map[string]chan struct{}
 
 	// Fleet-wide dispatch counters, summed over every sweep of either
 	// kind.
@@ -179,6 +182,7 @@ func New(opts Options) (*Fleet, error) {
 	f := &Fleet{
 		opts:    opts,
 		clients: make(map[string]*client.Client, len(opts.Hosts)),
+		sem:     make(map[string]chan struct{}, len(opts.Hosts)),
 		perNode: make(map[string]*NodeStats, len(opts.Hosts)),
 	}
 	for _, h := range opts.Hosts {
@@ -189,6 +193,7 @@ func New(opts Options) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: host %q: %w", h, err)
 		}
 		f.clients[h] = c
+		f.sem[h] = make(chan struct{}, opts.InflightPerNode)
 		f.perNode[h] = &NodeStats{}
 	}
 	f.ring = newRing(opts.Hosts)

@@ -88,7 +88,6 @@ type sweep struct {
 	spec   sweepSpec
 	ctx    context.Context
 	cancel context.CancelFunc
-	sem    map[string]chan struct{}
 	jnl    *journal // nil when checkpointing is off
 	wg     sync.WaitGroup
 
@@ -131,15 +130,11 @@ func (f *Fleet) run(ctx context.Context, sp sweepSpec) (Counters, error) {
 	sw := &sweep{
 		f:      f,
 		spec:   sp,
-		sem:    make(map[string]chan struct{}, len(f.opts.Hosts)),
 		jnl:    jnl,
 		doneCh: make(chan struct{}),
 	}
 	sw.ctx, sw.cancel = context.WithCancel(ctx)
 	defer sw.cancel()
-	for _, h := range f.opts.Hosts {
-		sw.sem[h] = make(chan struct{}, f.opts.InflightPerNode)
-	}
 	for _, sr := range runs {
 		sr.ctx, sr.cancel = context.WithCancel(sw.ctx)
 		sr.live = make(map[int]liveAttempt, 2)
@@ -297,11 +292,11 @@ func (sr *shardRun) call(ctx context.Context, c *client.Client) (rec journalReco
 // necessarily that this attempt's response won.
 func (sw *sweep) attempt(sr *shardRun, host string, stolen bool) error {
 	select {
-	case sw.sem[host] <- struct{}{}:
+	case sw.f.sem[host] <- struct{}{}:
 	case <-sr.ctx.Done():
 		return nil
 	}
-	defer func() { <-sw.sem[host] }()
+	defer func() { <-sw.f.sem[host] }()
 	if sr.ctx.Err() != nil {
 		return nil // settled or cancelled while waiting for the slot
 	}
@@ -481,7 +476,7 @@ func (sw *sweep) stragglerTarget(sr *shardRun, now time.Time, cut time.Duration)
 	for i := 0; i < len(sr.route); i++ {
 		h := sr.route[(sr.cursor+i)%len(sr.route)]
 		if h == running.host || sw.f.clients[h].BreakerState() == client.BreakerOpen ||
-			!sw.f.routable(h) || len(sw.sem[h]) >= cap(sw.sem[h]) {
+			!sw.f.routable(h) || len(sw.f.sem[h]) >= cap(sw.f.sem[h]) {
 			continue
 		}
 		sr.stole = true

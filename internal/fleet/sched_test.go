@@ -109,6 +109,48 @@ func TestSweepFusionInflightCap(t *testing.T) {
 	}
 }
 
+// TestInflightCapAcrossSweeps checks InflightPerNode is a per-node cap,
+// not a per-sweep one: three concurrent sweeps against one node with
+// InflightPerNode 1 still never overlap. Injected service latency keeps
+// every request open long enough that per-sweep slots would overlap.
+func TestInflightCapAcrossSweeps(t *testing.T) {
+	hosts, servers, hc := newNodes(t, 1)
+	servers[hosts[0]].SetChaos(serve.Chaos{Latency: 10 * time.Millisecond})
+	pt := &peakTransport{next: hc.Transport}
+	opts := fastFleet(hosts, &http.Client{Transport: pt})
+	opts.InflightPerNode = 1
+	f, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	req := fusionFleetReq()
+	want := fusionTruth(t, req)
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := f.SweepFusion(context.Background(), req)
+			if err == nil && !reflect.DeepEqual(res.Points, want) {
+				err = errors.New("capped sweep diverged from local truth")
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if pt.peak != 1 {
+		t.Fatalf("%d requests in flight on one node across 3 sweeps, want InflightPerNode 1", pt.peak)
+	}
+}
+
 // TestSweepFusionStealsStraggler is TestSweepStealsStraggler for fusion
 // sweeps: the watchdog re-issues the slow node's shards on the fast one,
 // the losing duplicates are discarded, and every shard merges once.

@@ -213,7 +213,9 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 func chooseMapping(layer tensor.Layer, cfg hw.Config, opt Options) (dataflow.Dataflow, *core.Result, error) {
 	if opt.Dataflow != nil {
 		if df, ok := opt.Dataflow(layer); ok {
-			r, err := core.AnalyzeDataflow(df, layer, cfg)
+			// Through the shared profile cache, as the tuner branch
+			// below: sweeps re-schedule the same layers many times.
+			r, err := core.AnalyzeDataflowCached(df, layer, cfg)
 			return df, r, err
 		}
 		// No mapping for this layer: fall through to the tuner so a

@@ -196,9 +196,14 @@ type axis struct {
 	dims  tensor.DimSet
 }
 
+// maxAxes bounds the axes of any tensor tile (see axes).
+const maxAxes = 4
+
 // axes decomposes tensor k's tile into independent axes for the given
-// chunk sizes and `active` sub-clusters.
-func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) []axis {
+// chunk sizes and `active` sub-clusters, appending them to dst. Callers
+// pass an empty slice of a stack array of maxAxes, so the decomposition —
+// run for every tensor of every data-iteration case — allocates nothing.
+func (a *Analysis) axes(dst []axis, k tensor.Kind, ch tensor.Sizes, active int) []axis {
 	direct := func(d tensor.Dim) axis {
 		c := int64(ch.Get(d))
 		u := c
@@ -231,36 +236,36 @@ func (a *Analysis) axes(k tensor.Kind, ch tensor.Sizes, active int) []axis {
 		}
 		return axis{perPE: o, union: u, dims: dims}
 	}
+	axs := dst
 	switch k {
 	case tensor.Weight:
-		axs := []axis{direct(tensor.C), direct(tensor.R), direct(tensor.S)}
+		axs = append(axs, direct(tensor.C), direct(tensor.R), direct(tensor.S))
 		if a.Layer.TensorDims(tensor.Weight).Has(tensor.K) {
 			axs = append(axs, direct(tensor.K))
 		}
-		return axs
 	case tensor.Input:
-		return []axis{direct(tensor.N), direct(tensor.C), direct(tensor.Y), direct(tensor.X)}
+		axs = append(axs, direct(tensor.N), direct(tensor.C), direct(tensor.Y), direct(tensor.X))
 	case tensor.Output:
-		axs := []axis{
+		axs = append(axs,
 			direct(tensor.N),
 			outAxis(tensor.Y, tensor.R, a.Layer.StrideY, a.outShiftY, a.anchoredY),
 			outAxis(tensor.X, tensor.S, a.Layer.StrideX, a.outShiftX, a.anchoredX),
-		}
+		)
 		if a.Layer.TensorDims(tensor.Output).Has(tensor.K) {
 			axs = append(axs, direct(tensor.K))
 		} else {
 			axs = append(axs, direct(tensor.C))
 		}
-		return axs
 	}
-	return nil
+	return axs
 }
 
 // TileOf returns the per-sub-cluster tile size (elements) of tensor k for
 // the given chunk sizes.
 func (a *Analysis) TileOf(k tensor.Kind, ch tensor.Sizes) int64 {
+	var buf [maxAxes]axis
 	t := int64(1)
-	for _, ax := range a.axes(k, ch, 1) {
+	for _, ax := range a.axes(buf[:0], k, ch, 1) {
 		t *= ax.perPE
 	}
 	return t
@@ -273,8 +278,9 @@ func (a *Analysis) UnionTile(k tensor.Kind, ch tensor.Sizes, active int) int64 {
 	if active < 1 {
 		return 0
 	}
+	var buf [maxAxes]axis
 	t := int64(1)
-	for _, ax := range a.axes(k, ch, active) {
+	for _, ax := range a.axes(buf[:0], k, ch, active) {
 		t *= ax.union
 	}
 	return t
@@ -297,7 +303,8 @@ func (a *Analysis) NewData(k tensor.Kind, li int, ch tensor.Sizes, union bool, a
 	if union {
 		n = active
 	}
-	axs := a.axes(k, ch, n)
+	var buf [maxAxes]axis
+	axs := a.axes(buf[:0], k, ch, n)
 	tile := int64(1)
 	for _, ax := range axs {
 		if union {

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz bench bench-dse bench-fleet soak-fleet experiments-check serve clean
+.PHONY: all build vet test race fuzz bench bench-dse bench-fleet soak-fleet experiments-check loc serve clean
 
 all: vet build test
 
@@ -48,8 +48,10 @@ bench:
 bench-dse:
 	$(GO) test -bench 'BenchmarkExplore|BenchmarkProfileVsAnalyze|BenchmarkPriceBatch' -benchtime 200x -benchmem -run xxx ./internal/dse/ ./internal/core/
 
-# Fleet scaling: 1/2/4 in-process nodes with injected per-shard service
-# time; the measured numbers are recorded in BENCH_fleet.json.
+# Fleet scaling: 1/2/4 in-process nodes with an injected per-shard
+# service time, so it shows dispatch overhead and ring balance rather
+# than compute scaling. perfbench's fleet workload is the recorded
+# benchmark.
 bench-fleet:
 	$(GO) test -bench BenchmarkFleetSweep -benchtime 3x -run xxx ./internal/fleet
 
@@ -73,6 +75,13 @@ experiments-check:
 	$(GO) run ./cmd/experiments all | $(EXPERIMENTS_MASK) > "$$out" && \
 	$(EXPERIMENTS_MASK) experiments_output.txt | diff -u - "$$out" && \
 	echo "experiments_output.txt matches a fresh run"
+
+# Non-test Go lines (wc -l) per package directory and in total, not
+# counting perfbench/: the measure the ROADMAP line budgets use.
+loc:
+	@find . -path ./perfbench -prune -o -name '*.go' ! -name '*_test.go' -print | \
+	xargs wc -l | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 serve:
 	$(GO) run ./cmd/maestro-serve

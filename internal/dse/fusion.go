@@ -245,8 +245,7 @@ func BestFusion(points []FusionPoint) (FusionPoint, bool) {
 // PartitionFusionGrid splits a budget grid into at most target
 // contiguous, non-empty, disjoint chunks covering every budget exactly
 // once — the fleet coordinator's shard unit for fusion sweeps (the
-// granularity axis stays whole per shard; partitionings at one budget
-// share the scheduler's member re-tunes).
+// granularity axis stays whole per shard).
 func PartitionFusionGrid(grid []int64, target int) [][]int64 {
 	if len(grid) == 0 {
 		return nil

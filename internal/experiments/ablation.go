@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -183,7 +184,7 @@ func AblationTuner(w io.Writer, opt Options) error {
 
 	var tuned int64
 	for _, li := range layers {
-		ch, err := tuner.TuneLayer(li.Layer, cfg, tuner.Options{Objective: tuner.MinRuntime})
+		ch, err := tuner.TuneLayerCtx(context.TODO(), li.Layer, cfg, tuner.Options{Objective: tuner.MinRuntime})
 		if err != nil {
 			return err
 		}

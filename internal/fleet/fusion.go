@@ -38,9 +38,9 @@ type FusionResult struct {
 // SweepFusion partitions req's L2 budget grid, dispatches the shards
 // across the fleet's nodes, and merges the results into one sweep over
 // the full (budget x granularity) plane. The granularity axis stays
-// whole per shard — partitionings at one budget share a node's
-// scheduler re-tunes, so splitting the budget axis is the cache-friendly
-// cut. Shard i prefers host i mod n and fails over along the host list;
+// whole per shard; every cell tunes the same layers whatever its
+// budget, so a shard's cells share its node's warm profile cache.
+// Shard i prefers host i mod n and fails over along the host list;
 // the scheduler, journal and limits are Sweep's. SweepFusion blocks
 // until every shard completes, the context is cancelled, a node refuses
 // a shard with a hard 4xx, or a shard exhausts its failover budget.

@@ -1,9 +1,10 @@
 package netsched
 
 import (
+	"math"
+
 	"repro/internal/core"
 	"repro/internal/dataflow"
-	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
 	"repro/internal/tuner"
@@ -233,7 +234,7 @@ type groupCost struct {
 	// and cross DRAM once; otherwise they stream in again per band.
 	weightsResident bool
 	// msMembers: the members run their minimal-staging fallback mappings
-	// because the compact re-tunes did not fit beside the band windows.
+	// because the compact mappings did not fit beside the band windows.
 	msMembers bool
 
 	actR, wR, actW int64 // per instance
@@ -344,17 +345,15 @@ func (f *fuser) footprint(lo, hi, tileRows int) (retained, weights, outBands int
 }
 
 // stagingBytes returns the widest member staging requirement under the
-// two mapping flavors a fused group may run: the compact re-tune (best
-// runtime under a quarter of the budget) and the minimal-staging
-// fallback (budget-independent, which keeps the feasible set growing
-// with L2Bytes).
+// two mapping flavors a fused group may run: the compact mapping and
+// the minimal-staging fallback (see stagingMappings).
 func (f *fuser) stagingBytes(lo, hi int) (compact, ms int64) {
 	for v := lo; v <= hi; v++ {
-		if r, _ := f.compactMapping(v); r.L2ReqBytes() > compact {
-			compact = r.L2ReqBytes()
+		if b := f.compact[v].Result.L2ReqBytes(); b > compact {
+			compact = b
 		}
-		if r, _ := f.msMapping(v); r.L2ReqBytes() > ms {
-			ms = r.L2ReqBytes()
+		if b := f.ms[v].Result.L2ReqBytes(); b > ms {
+			ms = b
 		}
 	}
 	return compact, ms
@@ -370,86 +369,43 @@ func tileCandidates(rows int) []int {
 	return append(c, 1)
 }
 
-// fuser evaluates interval costs for the DP partitioner.
+// fuser evaluates interval costs for the DP partitioner. base is each
+// layer's own mapping; compact and ms are the mappings it runs as a
+// fused member (see stagingMappings).
 type fuser struct {
-	g       *Graph
-	cfg     hw.Config
-	eb      int64
-	opt     FuseOptions
-	results []*core.Result
-	dfs     []dataflow.Dataflow
-	// compact caches low-staging re-tunes for fused members; ms the
-	// budget-independent minimal-staging fallbacks.
-	compact   []*core.Result
-	compactDF []dataflow.Dataflow
-	ms        []*core.Result
-	msDF      []dataflow.Dataflow
+	g                 *Graph
+	eb                int64
+	opt               FuseOptions
+	base, compact, ms []tuner.Choice
 }
 
-// compactMapping returns the mapping a layer runs inside a fused group.
-// Tuned schedules re-tune each member with staging capped at a quarter
-// of the L2 budget — the band windows and weights need the rest, and
-// the tuner's unconstrained pick happily stages half the scratchpad.
-// Fixed-dataflow schedules keep their mapping, as does any layer the
-// capped re-tune cannot map.
-func (f *fuser) compactMapping(i int) (*core.Result, dataflow.Dataflow) {
-	if f.opt.Dataflow != nil {
-		return f.results[i], f.dfs[i]
+// stagingMappings takes a tuned layer's two fused-member mappings from
+// its front. compact is the best mapping with staging capped at a
+// quarter of the L2 budget (at least 4 KiB): the band windows and
+// weights need the rest, and the unconstrained pick happily stages half
+// the scratchpad. ms, the minimal-staging fallback, is the best mapping
+// under the smallest power-of-two cap from 4 KiB that admits one.
+// Because ms never consults L2Bytes, an interval feasible through it at
+// some budget stays feasible at every larger budget — the keystone of
+// the schedule's L2 monotonicity. Either is base when nothing fits its
+// cap (ms caps at 2 GiB).
+func stagingMappings(front tuner.Front, base tuner.Choice, l2Bytes int64) (compact, ms tuner.Choice) {
+	compact, ms = base, base
+	if ch, ok := front.Best(max(l2Bytes/4, 4<<10)); ok {
+		compact = ch
 	}
-	if f.compact == nil {
-		f.compact = make([]*core.Result, len(f.results))
-		f.compactDF = make([]dataflow.Dataflow, len(f.results))
+	minReq := int64(math.MaxInt64)
+	for _, e := range front {
+		minReq = min(minReq, e.L2ReqBytes)
 	}
-	if f.compact[i] != nil {
-		return f.compact[i], f.compactDF[i]
+	limit := int64(4 << 10)
+	for limit < minReq && limit < 2<<30 {
+		limit *= 2
 	}
-	budget := f.opt.L2Bytes / 4
-	if budget < 4<<10 {
-		budget = 4 << 10
+	if ch, ok := front.Best(limit); ok {
+		ms = ch
 	}
-	ch, err := tuner.TuneLayer(f.g.Model.Layers[i].Layer, f.cfg, tuner.Options{
-		Objective:  f.opt.Objective,
-		MaxL2Bytes: budget,
-	})
-	if err != nil {
-		f.compact[i], f.compactDF[i] = f.results[i], f.dfs[i]
-	} else {
-		f.compact[i], f.compactDF[i] = ch.Result, ch.Dataflow
-	}
-	return f.compact[i], f.compactDF[i]
-}
-
-// msMapping returns the budget-independent minimal-staging mapping for
-// a fused member: the best mapping under the smallest power-of-two
-// staging cap that admits one. Because it never consults L2Bytes, an
-// interval feasible through it at some budget stays feasible at every
-// larger budget — the keystone of the schedule's L2 monotonicity.
-func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
-	if f.opt.Dataflow != nil {
-		return f.results[i], f.dfs[i]
-	}
-	if f.ms == nil {
-		f.ms = make([]*core.Result, len(f.results))
-		f.msDF = make([]dataflow.Dataflow, len(f.results))
-	}
-	if f.ms[i] != nil {
-		return f.ms[i], f.msDF[i]
-	}
-	for limit := int64(4 << 10); ; limit *= 2 {
-		ch, err := tuner.TuneLayer(f.g.Model.Layers[i].Layer, f.cfg, tuner.Options{
-			Objective:  f.opt.Objective,
-			MaxL2Bytes: limit,
-		})
-		if err == nil {
-			f.ms[i], f.msDF[i] = ch.Result, ch.Dataflow
-			break
-		}
-		if limit > 1<<30 {
-			f.ms[i], f.msDF[i] = f.results[i], f.dfs[i]
-			break
-		}
-	}
-	return f.ms[i], f.msDF[i]
+	return compact, ms
 }
 
 // singletonCost prices layer i as its own group: the per-layer engine's
@@ -460,7 +416,7 @@ func (f *fuser) msMapping(i int) (*core.Result, dataflow.Dataflow) {
 // L2Bytes=0 sentinel prices at the capacity the engine itself used,
 // reproducing the raw per-layer totals bit for bit.
 func (f *fuser) singletonCost(i int) groupCost {
-	r := f.results[i]
+	r := f.base[i].Result
 	var t core.DRAMTraffic
 	if f.opt.L2Bytes == 0 {
 		t = r.DRAMAt(r.EffectiveL2)

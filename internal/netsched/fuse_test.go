@@ -3,6 +3,7 @@ package netsched
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/tensor"
@@ -105,6 +106,32 @@ func TestFusedSentinelMatchesPerLayerSum(t *testing.T) {
 				t.Errorf("%s/%s: baseline %d != traffic %d at sentinel",
 					m.Name, name, fused.BaselineDRAM, fused.DRAMTraffic)
 			}
+		}
+	}
+}
+
+// TestFusedTunesEachLayerOnce pins the tune-once contract: a tuned
+// fused schedule takes its base, compact and minimal-staging mappings
+// from one priced front per layer, so at every budget it makes exactly
+// as many profile-cache lookups as the L2Bytes=0 sentinel, which
+// tunes each layer once and never fuses.
+func TestFusedTunesEachLayerOnce(t *testing.T) {
+	pc := core.DefaultProfileCache
+	lookups := func(l2 int64) int64 {
+		before := pc.Hits() + pc.Misses() + pc.Coalesced()
+		s, err := RunFused(models.GoogLeNet(), hw.Accel256(), FuseOptions{Options: Options{L2Bytes: l2}})
+		if err != nil {
+			t.Fatalf("L2 %d: %v", l2, err)
+		}
+		if l2 > 0 && s.FusedGroups() == 0 {
+			t.Fatalf("L2 %d: no fused groups", l2)
+		}
+		return pc.Hits() + pc.Misses() + pc.Coalesced() - before
+	}
+	want := lookups(0)
+	for _, l2 := range []int64{64 << 10, 256 << 10, 1 << 20} {
+		if got := lookups(l2); got != want {
+			t.Errorf("L2 %d KiB: %d profile lookups per RunFused, want %d (as at L2Bytes 0)", l2>>10, got, want)
 		}
 	}
 }

@@ -3,10 +3,9 @@ package netsched
 import (
 	"fmt"
 
-	"repro/internal/core"
-	"repro/internal/dataflow"
 	"repro/internal/hw"
 	"repro/internal/models"
+	"repro/internal/tuner"
 )
 
 // FusedSchedule is the graph-level schedule: the layer list partitioned
@@ -60,16 +59,20 @@ func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, e
 		return nil, err
 	}
 	n := len(m.Layers)
-	results := make([]*core.Result, n)
-	dfs := make([]dataflow.Dataflow, n)
+	f := &fuser{g: g, eb: elemBytes(cfg), opt: opt,
+		base: make([]tuner.Choice, n), compact: make([]tuner.Choice, n), ms: make([]tuner.Choice, n)}
 	for i, li := range m.Layers {
-		df, r, err := chooseMapping(li.Layer, cfg, opt.Options)
+		base, front, err := chooseMapping(li.Layer, cfg, opt.Options)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", li.Layer.Name, err)
 		}
-		results[i], dfs[i] = r, df
+		f.base[i], f.compact[i], f.ms[i] = base, base, base
+		// Fixed-dataflow schedules keep each layer's mapping inside
+		// fused groups too, even where a layer fell through to the tuner.
+		if opt.Dataflow == nil {
+			f.compact[i], f.ms[i] = stagingMappings(front, base, opt.L2Bytes)
+		}
 	}
-	f := &fuser{g: g, cfg: cfg, eb: elemBytes(cfg), opt: opt, results: results, dfs: dfs}
 
 	s := &FusedSchedule{Model: m, L2Bytes: opt.L2Bytes}
 	for i := 0; i < n; i++ {
@@ -91,19 +94,20 @@ func RunFused(m models.Model, cfg hw.Config, opt FuseOptions) (*FusedSchedule, e
 		}
 		for v := sp.lo; v <= sp.hi; v++ {
 			nInst := int64(m.Layers[v].Count)
-			r, df := results[v], dfs[v]
+			ch := f.base[v]
 			if c.fused {
 				// Fused members run the mapping the capacity check
-				// admitted: the compact re-tune, or the minimal-staging
+				// admitted: the compact mapping, or the minimal-staging
 				// fallback when the windows left no room for it.
 				if c.msMembers {
-					r, df = f.msMapping(v)
+					ch = f.ms[v]
 				} else {
-					r, df = f.compactMapping(v)
+					ch = f.compact[v]
 				}
 			}
+			r := ch.Result
 			gp.Members = append(gp.Members, MemberPlan{
-				Index: v, Inst: m.Layers[v], Dataflow: df, Result: r,
+				Index: v, Inst: m.Layers[v], Dataflow: ch.Dataflow, Result: r,
 			})
 			gp.Cycles += r.OnChipRuntime * nInst
 			s.EnergyPJ += r.EnergyDefault().OnChip() * float64(nInst)

@@ -13,6 +13,7 @@
 package netsched
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -102,10 +103,11 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 
 	for i, li := range m.Layers {
 		layer := li.Layer
-		df, r, err := chooseMapping(layer, cfg, opt)
+		ch, _, err := chooseMapping(layer, cfg, opt)
 		if err != nil {
 			return nil, fmt.Errorf("layer %s: %w", layer.Name, err)
 		}
+		df, r := ch.Dataflow, ch.Result
 
 		// L2 pressure: every live tensor — the chain input and pinned
 		// residual sources — shrinks what the layer may use for staging
@@ -170,7 +172,7 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 		// input always re-fetches.
 		if _, ok := live[i-1]; ok && fits {
 			plan.InputResident = true
-			saved := min64(plan.DRAMReads, inBytes/int64(cfg.ElemBytes))
+			saved := min(plan.DRAMReads, inBytes/int64(cfg.ElemBytes))
 			plan.DRAMReads -= saved
 			sched.DRAMSaved += saved
 		}
@@ -178,7 +180,7 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 		// fits beside the staging tiles and everything still live.
 		if opt.L2Bytes > 0 && outBytes <= avail-r.L2ReqBytes() {
 			plan.OutputResident = true
-			saved := min64(plan.DRAMWrites, outBytes/int64(cfg.ElemBytes))
+			saved := min(plan.DRAMWrites, outBytes/int64(cfg.ElemBytes))
 			plan.DRAMWrites -= saved
 			sched.DRAMSaved += saved
 			// The kept output serves the next layer, and any residual
@@ -210,22 +212,27 @@ func Run(m models.Model, cfg hw.Config, opt Options) (*Schedule, error) {
 	return sched, nil
 }
 
-func chooseMapping(layer tensor.Layer, cfg hw.Config, opt Options) (dataflow.Dataflow, *core.Result, error) {
+// chooseMapping returns the layer's mapping: the schedule's fixed
+// dataflow, or the tuner's best pick with no staging cap. A tuned layer
+// also returns its front, from which the fused scheduler takes its
+// staging-capped mappings; a fixed one returns a nil front.
+func chooseMapping(layer tensor.Layer, cfg hw.Config, opt Options) (tuner.Choice, tuner.Front, error) {
 	if opt.Dataflow != nil {
 		if df, ok := opt.Dataflow(layer); ok {
 			// Through the shared profile cache, as the tuner branch
 			// below: sweeps re-schedule the same layers many times.
 			r, err := core.AnalyzeDataflowCached(df, layer, cfg)
-			return df, r, err
+			return tuner.Choice{Dataflow: df, Result: r}, nil, err
 		}
 		// No mapping for this layer: fall through to the tuner so a
 		// partially annotated network still schedules.
 	}
-	ch, err := tuner.TuneLayer(layer, cfg, tuner.Options{Objective: opt.Objective})
-	if err != nil {
-		return dataflow.Dataflow{}, nil, err
+	front := tuner.LayerFront(context.TODO(), layer, cfg, opt.Objective)
+	ch, ok := front.Best(0)
+	if !ok {
+		return tuner.Choice{}, nil, fmt.Errorf("no candidate dataflow maps the layer")
 	}
-	return ch.Dataflow, ch.Result, nil
+	return ch, front, nil
 }
 
 func validateEdges(m models.Model, edges []Edge) error {
@@ -245,11 +252,4 @@ func scaled(layer tensor.Layer, k tensor.Kind, cfg hw.Config) int64 {
 		d = 1
 	}
 	return int64(float64(layer.TensorSize(k))*d+0.5) * int64(cfg.ElemBytes)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -8,8 +8,8 @@ import (
 	"repro/internal/dataflow"
 )
 
-// Benchmarks compare the service's cached and uncached analyze paths.
-// Record results in BENCH_serve.json at the repo root:
+// Benchmarks compare the service's cached and uncached analyze paths;
+// perfbench's serve workload is the recorded end-to-end benchmark:
 //
 //	go test -run xxx -bench BenchmarkAnalyze ./internal/serve
 

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -89,6 +91,18 @@ func (s *Server) chaosMiddleware(next http.Handler) http.Handler {
 		}
 		delay, fail := st.draw()
 		if delay > 0 {
+			// net/http notices a client disconnect only once the body
+			// has been read, so read it (up to the largest body cap)
+			// before waiting: an aborted request then ends the delay at
+			// once. The handler decodes the buffered bytes, and any
+			// remainder, under its own cap as before. A read error is
+			// dropped because it leaves the buffered body truncated,
+			// which the handler's decode rejects.
+			buf, _ := io.ReadAll(io.LimitReader(r.Body, maxBatchBody+1))
+			r.Body = struct {
+				io.Reader
+				io.Closer
+			}{io.MultiReader(bytes.NewReader(buf), r.Body), r.Body}
 			s.chaosInjected.With("latency").Inc()
 			t := time.NewTimer(delay)
 			select {

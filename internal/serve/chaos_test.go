@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -69,6 +72,53 @@ func TestChaosMiddlewareLatency(t *testing.T) {
 	}
 	if got := s.chaosInjected.With("latency").Value(); got != 1 {
 		t.Fatalf("maestro_chaos_injected_total{kind=latency} = %d, want 1", got)
+	}
+}
+
+// TestChaosLatencyEndsOnClientCancel: a client that gives up during an
+// injected delay frees the handler at once instead of holding it for
+// the whole delay (a fleet straggler's aborted attempts rely on this).
+// Closing the test server waits for every handler to return.
+func TestChaosLatencyEndsOnClientCancel(t *testing.T) {
+	s := New(Options{Workers: 1, Chaos: Chaos{Latency: 2 * time.Second, Seed: 1}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	body := `{"layer":{"model":"VGG16","name":"CONV1"},"dataflow":{"name":"KC-P"},"hw":{"preset":"Accel256"}}`
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/analyze", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatalf("request finished with %d inside the injected delay", resp.StatusCode)
+	}
+	ts.Close()
+	if d := time.Since(start); d > 500*time.Millisecond {
+		t.Fatalf("handler returned %v after the request started; want < 500ms once the client cancels", d)
+	}
+}
+
+// TestChaosLatencyKeepsBodyCap: buffering the body ahead of the delay
+// leaves the endpoint's size cap and its error unchanged.
+func TestChaosLatencyKeepsBodyCap(t *testing.T) {
+	s := New(Options{Workers: 1, Chaos: Chaos{Latency: time.Millisecond, Seed: 1}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"layer":{"name":"` + strings.Repeat("x", maxBody) + `"}}`
+	resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "request body too large") {
+		t.Fatalf("oversized body: %d %s; want 400 request body too large", resp.StatusCode, msg)
 	}
 }
 

@@ -216,7 +216,7 @@ func runFusion(sp dse.FusionSpace) *FusionResponse {
 
 func (s *Server) handleFusion(w http.ResponseWriter, r *http.Request) {
 	var req FusionRequest
-	ctx, done, ok := s.post(w, r, "fusion", 1<<20, &req)
+	ctx, done, ok := s.post(w, r, "fusion", maxBody, &req)
 	if !ok {
 		return
 	}

@@ -14,6 +14,13 @@ import (
 // cache probe, one admission check, one queue step and one delivery
 // copy. The batch endpoint's grouped jobs use the same queue step.
 
+// Body caps: a POST endpoint decodes at most maxBody bytes, the batch
+// endpoint at most maxBatchBody.
+const (
+	maxBody      = 1 << 20
+	maxBatchBody = 16 << 20
+)
+
 // postRequest is a POST body: every one carries its own deadline.
 type postRequest interface{ timeoutMs() int }
 

@@ -504,7 +504,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	ctx, done, ok := s.post(w, r, "analyze", 1<<20, &req)
+	ctx, done, ok := s.post(w, r, "analyze", maxBody, &req)
 	if !ok {
 		return
 	}
@@ -519,7 +519,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
-	ctx, done, ok := s.post(w, r, "batch", 16<<20, &req)
+	ctx, done, ok := s.post(w, r, "batch", maxBatchBody, &req)
 	if !ok {
 		return
 	}
@@ -685,7 +685,7 @@ func errorOf(it BatchItem) error {
 
 func (s *Server) handleDSE(w http.ResponseWriter, r *http.Request) {
 	var req DSERequest
-	ctx, done, ok := s.post(w, r, "dse", 1<<20, &req)
+	ctx, done, ok := s.post(w, r, "dse", maxBody, &req)
 	if !ok {
 		return
 	}

@@ -27,7 +27,7 @@ func TestDifferZooFixed(t *testing.T) {
 }
 
 // TestDifferTuned covers the auto-tuned path (compact and minimal-
-// staging member re-tunes included) on the DAG-heavy models.
+// staging member mappings included) on the DAG-heavy models.
 func TestDifferTuned(t *testing.T) {
 	d := DiffSchedules([]models.Model{models.GoogLeNet(), models.MobileNetV2()}, cfg256(), DiffOptions{
 		L2Bytes:   []int64{0, 256 << 10},

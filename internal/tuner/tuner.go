@@ -52,8 +52,6 @@ type Choice struct {
 // Options configures the search.
 type Options struct {
 	Objective Objective
-	// MaxCandidates bounds the mappings evaluated per layer (0 = all).
-	MaxCandidates int
 	// MaxL2Bytes, when positive, drops candidates whose L2 staging
 	// requirement exceeds it. The graph-level fusion scheduler uses this
 	// to reserve scratchpad for inter-layer band windows.
@@ -122,77 +120,109 @@ func pow2Upto(n int) []int {
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Entry is one priced candidate of a layer's Front.
+type Entry struct {
+	Choice
+	// L2ReqBytes is the candidate's L2 staging requirement.
+	L2ReqBytes int64
+}
+
+// Front is a layer's candidate mappings priced once under one hardware
+// configuration, in candidate order; candidates that cannot map the
+// layer are absent. The candidate list and every price are independent
+// of any L2 cap, so one front answers a capped tune at every cap.
+type Front []Entry
+
+// Best returns the first lowest-score entry whose L2 staging
+// requirement is at most maxL2 (maxL2 <= 0: no cap). ok is false when
+// no entry fits.
+func (f Front) Best(maxL2 int64) (best Choice, ok bool) {
+	for _, e := range f {
+		if maxL2 > 0 && e.L2ReqBytes > maxL2 {
+			continue
+		}
+		if !ok || e.Score < best.Score {
+			best, ok = e.Choice, true
+		}
 	}
-	return b
+	return best, ok
 }
 
-// TuneLayer returns the best mapping of the candidate space for one
-// layer. Candidates that cannot map the layer are skipped; an error is
-// returned only if none can.
-func TuneLayer(layer tensor.Layer, cfg hw.Config, opt Options) (Choice, error) {
-	return TuneLayerCtx(context.Background(), layer, cfg, opt)
+// fronts prices every candidate mapping of layer under each of cfgs,
+// which are normalized and share one PE count: each candidate is
+// profiled once, through the shared profile cache, and priced across
+// all of cfgs in a single PriceBatch walk (a plain Price for one
+// configuration). fs[i] is the front under cfgs[i]; priced counts the
+// candidates that mapped the layer.
+func fronts(ctx context.Context, layer tensor.Layer, cfgs []hw.Config, obj Objective) (fs []Front, priced int) {
+	fs = make([]Front, len(cfgs))
+	pes := cfgs[0].NumPEs
+	for _, df := range candidates(layer, pes) {
+		// The profile cache persists across layers and hardware variants:
+		// re-tuning the same layer under a different NoC or vector width
+		// re-prices cached profiles instead of re-running the walk.
+		p, _, err := core.DefaultProfileCache.ProfileDataflowCtx(ctx, df, layer, pes)
+		if err != nil { // candidate cannot map the layer
+			continue
+		}
+		priced++
+		var rs []*core.Result
+		if len(cfgs) == 1 {
+			r, _ := p.PriceCtx(ctx, cfgs[0])
+			rs = []*core.Result{r}
+		} else {
+			rs, _ = p.PriceBatchCtx(ctx, cfgs)
+		}
+		for i, r := range rs {
+			if r != nil {
+				fs[i] = append(fs[i], Entry{
+					Choice:     Choice{Dataflow: df, Result: r, Score: score(obj, r)},
+					L2ReqBytes: r.L2ReqBytes(),
+				})
+			}
+		}
+	}
+	return fs, priced
 }
 
-// TuneLayerCtx is TuneLayer traced under ctx's obs recorder: the whole
-// search runs in a "tuner.layer" span, with each candidate's profile
-// fetch and pricing visible as child spans (profiles that ride the
-// shared cache appear as hit events instead of walks).
+// LayerFront prices every candidate mapping of layer once under cfg.
+// TuneLayerCtx at any MaxL2Bytes is LayerFront(...).Best(MaxL2Bytes).
+func LayerFront(ctx context.Context, layer tensor.Layer, cfg hw.Config, obj Objective) Front {
+	fs, _ := fronts(ctx, layer, []hw.Config{cfg.Normalize()}, obj)
+	return fs[0]
+}
+
+// TuneLayerCtx returns the best mapping of the candidate space for one
+// layer, traced under ctx's obs recorder: the whole search runs in a
+// "tuner.layer" span, with each candidate's profile fetch and pricing
+// visible as child spans (profiles that ride the shared cache appear as
+// hit events instead of walks). Candidates that cannot map the layer
+// are skipped; an error is returned only if none can.
 func TuneLayerCtx(ctx context.Context, layer tensor.Layer, cfg hw.Config, opt Options) (Choice, error) {
 	cfg = cfg.Normalize()
 	ctx, span := obs.Start(ctx, "tuner.layer",
 		obs.String("layer", layer.Name),
 		obs.String("objective", opt.Objective.String()),
 		obs.Int("pes", cfg.NumPEs))
-	var best Choice
-	found := false
-	evaluated := 0
-	for _, df := range candidates(layer, cfg.NumPEs) {
-		if opt.MaxCandidates > 0 && evaluated >= opt.MaxCandidates {
-			break
-		}
-		// The profile cache persists across layers and hardware variants:
-		// re-tuning the same layer under a different NoC or vector width
-		// re-prices cached profiles instead of re-running the walk.
-		r, err := core.AnalyzeDataflowCachedCtx(ctx, df, layer, cfg)
-		if err != nil {
-			continue
-		}
-		if opt.MaxL2Bytes > 0 && r.L2ReqBytes() > opt.MaxL2Bytes {
-			continue
-		}
-		evaluated++
-		s := score(opt.Objective, r)
-		if !found || s < best.Score {
-			best = Choice{Dataflow: df, Result: r, Score: s}
-			found = true
-		}
-	}
-	span.SetAttr(obs.Int("evaluated", evaluated))
-	if !found {
-		span.End()
+	defer span.End()
+	front := LayerFront(ctx, layer, cfg, opt.Objective)
+	span.SetAttr(obs.Int("evaluated", len(front)))
+	best, ok := front.Best(opt.MaxL2Bytes)
+	if !ok {
 		return Choice{}, fmt.Errorf("tuner: no candidate dataflow maps layer %s", layer.Name)
 	}
 	span.SetAttr(obs.String("best", best.Dataflow.Name))
-	span.End()
 	return best, nil
 }
 
-// TuneLayerConfigs tunes one layer under several hardware variants at
-// once, returning the best mapping per configuration (choices[i] pairs
-// with cfgs[i]).
-func TuneLayerConfigs(layer tensor.Layer, cfgs []hw.Config, opt Options) ([]Choice, error) {
-	return TuneLayerConfigsCtx(context.Background(), layer, cfgs, opt)
-}
-
-// TuneLayerConfigsCtx is the hardware-sweep form of TuneLayerCtx: every
-// candidate dataflow is profiled once per PE count and priced across
-// all configurations sharing that PE count in a single PriceBatch walk,
-// so an N-variant sweep costs one cluster walk plus N cheap pricings
-// per candidate instead of N full analyses. An error is returned only
-// if some configuration has no candidate that maps the layer.
+// TuneLayerConfigsCtx tunes one layer under several hardware variants
+// at once, returning the best mapping per configuration (choices[i]
+// pairs with cfgs[i]). Every candidate dataflow is profiled once per PE
+// count and priced across all configurations sharing that PE count in
+// a single PriceBatch walk, so an N-variant sweep costs one cluster
+// walk plus N cheap pricings per candidate instead of N full analyses.
+// An error is returned only if some configuration has no candidate
+// that maps the layer.
 func TuneLayerConfigsCtx(ctx context.Context, layer tensor.Layer, cfgs []hw.Config, opt Options) ([]Choice, error) {
 	ctx, span := obs.Start(ctx, "tuner.layer_configs",
 		obs.String("layer", layer.Name),
@@ -200,8 +230,6 @@ func TuneLayerConfigsCtx(ctx context.Context, layer tensor.Layer, cfgs []hw.Conf
 		obs.Int("configs", len(cfgs)))
 	defer span.End()
 
-	choices := make([]Choice, len(cfgs))
-	found := make([]bool, len(cfgs))
 	// Candidates and profiles depend on the PE count only, so configs
 	// sharing one batch together per candidate.
 	byPEs := map[int][]int{}
@@ -210,41 +238,22 @@ func TuneLayerConfigsCtx(ctx context.Context, layer tensor.Layer, cfgs []hw.Conf
 		norm[i] = cfg.Normalize()
 		byPEs[norm[i].NumPEs] = append(byPEs[norm[i].NumPEs], i)
 	}
+	choices := make([]Choice, len(cfgs))
 	evaluated := 0
-	for pes, lanes := range byPEs {
+	for _, lanes := range byPEs {
 		batch := make([]hw.Config, len(lanes))
 		for j, i := range lanes {
 			batch[j] = norm[i]
 		}
-		priced := 0
-		for _, df := range candidates(layer, pes) {
-			if opt.MaxCandidates > 0 && priced >= opt.MaxCandidates {
-				break
-			}
-			rs, err := core.AnalyzeDataflowCachedBatchCtx(ctx, df, layer, batch)
-			if err != nil && rs == nil { // candidate cannot map the layer
-				continue
-			}
-			priced++
-			evaluated++
-			for j, i := range lanes {
-				if rs[j] == nil {
-					continue
-				}
-				if opt.MaxL2Bytes > 0 && rs[j].L2ReqBytes() > opt.MaxL2Bytes {
-					continue
-				}
-				s := score(opt.Objective, rs[j])
-				if !found[i] || s < choices[i].Score {
-					choices[i] = Choice{Dataflow: df, Result: rs[j], Score: s}
-					found[i] = true
-				}
-			}
+		fs, priced := fronts(ctx, layer, batch, opt.Objective)
+		evaluated += priced
+		for j, i := range lanes {
+			choices[i], _ = fs[j].Best(opt.MaxL2Bytes)
 		}
 	}
 	span.SetAttr(obs.Int("evaluated", evaluated))
-	for i, ok := range found {
-		if !ok {
+	for i, ch := range choices {
+		if ch.Result == nil {
 			return nil, fmt.Errorf("tuner: no candidate dataflow maps layer %s for config %d (%q)",
 				layer.Name, i, cfgs[i].Name)
 		}
@@ -261,12 +270,8 @@ type ModelResult struct {
 	EnergyPJ float64
 }
 
-// TuneLayers tunes a list of (layer, count) pairs and accumulates totals.
-func TuneLayers(layers []tensor.Layer, counts []int, cfg hw.Config, opt Options) (ModelResult, error) {
-	return TuneLayersCtx(context.Background(), layers, counts, cfg, opt)
-}
-
-// TuneLayersCtx is TuneLayers with per-layer tracing under ctx.
+// TuneLayersCtx tunes a list of (layer, count) pairs and accumulates
+// totals, tracing each layer under ctx.
 func TuneLayersCtx(ctx context.Context, layers []tensor.Layer, counts []int, cfg hw.Config, opt Options) (ModelResult, error) {
 	var mr ModelResult
 	for i, l := range layers {

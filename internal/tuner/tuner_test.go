@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func layer(k, c, out, r, stride int) tensor.Layer {
 func TestTuneLayerBeatsFixed(t *testing.T) {
 	l := layer(64, 64, 28, 3, 1)
 	cfg := hw.Accel256()
-	best, err := TuneLayer(l, cfg, Options{Objective: MinRuntime})
+	best, err := TuneLayerCtx(context.Background(), l, cfg, Options{Objective: MinRuntime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +48,15 @@ func TestTuneLayerBeatsFixed(t *testing.T) {
 func TestObjectives(t *testing.T) {
 	l := layer(32, 32, 28, 3, 1)
 	cfg := hw.Accel256()
-	rt, err := TuneLayer(l, cfg, Options{Objective: MinRuntime})
+	rt, err := TuneLayerCtx(context.Background(), l, cfg, Options{Objective: MinRuntime})
 	if err != nil {
 		t.Fatal(err)
 	}
-	en, err := TuneLayer(l, cfg, Options{Objective: MinEnergy})
+	en, err := TuneLayerCtx(context.Background(), l, cfg, Options{Objective: MinEnergy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edp, err := TuneLayer(l, cfg, Options{Objective: MinEDP})
+	edp, err := TuneLayerCtx(context.Background(), l, cfg, Options{Objective: MinEDP})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,22 +77,6 @@ func edpOf(c Choice) float64 {
 	return c.Result.EnergyDefault().OnChip() * float64(c.Result.Runtime)
 }
 
-func TestMaxCandidates(t *testing.T) {
-	l := layer(32, 32, 14, 3, 1)
-	cfg := hw.Accel256()
-	full, err := TuneLayer(l, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := TuneLayer(l, cfg, Options{MaxCandidates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Score < full.Score {
-		t.Errorf("restricted search beat full search: %g < %g", one.Score, full.Score)
-	}
-}
-
 // TestTuneLayerConfigsMatchesScalar pins the batched hardware sweep to
 // the scalar tuner: for each configuration — including ones with
 // different PE counts, which batch in separate profile groups — the
@@ -102,7 +87,7 @@ func TestTuneLayerConfigsMatchesScalar(t *testing.T) {
 	cfgs[2].VectorWidth = 4
 	opt := Options{Objective: MinEDP}
 
-	choices, err := TuneLayerConfigs(l, cfgs, opt)
+	choices, err := TuneLayerConfigsCtx(context.Background(), l, cfgs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +95,7 @@ func TestTuneLayerConfigsMatchesScalar(t *testing.T) {
 		t.Fatalf("got %d choices for %d configs", len(choices), len(cfgs))
 	}
 	for i, cfg := range cfgs {
-		want, err := TuneLayer(l, cfg, opt)
+		want, err := TuneLayerCtx(context.Background(), l, cfg, opt)
 		if err != nil {
 			t.Fatalf("config %d: scalar tune: %v", i, err)
 		}
@@ -133,7 +118,7 @@ func TestTuneLayersTotals(t *testing.T) {
 		ls = append(ls, li.Layer)
 		counts = append(counts, li.Count)
 	}
-	mr, err := TuneLayers(ls, counts, hw.Accel256(), Options{Objective: MinRuntime})
+	mr, err := TuneLayersCtx(context.Background(), ls, counts, hw.Accel256(), Options{Objective: MinRuntime})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,6 +143,78 @@ func TestCandidateNames(t *testing.T) {
 				names = append(names, n)
 			}
 			t.Errorf("candidate %q missing from %s", want, strings.Join(names, ", "))
+		}
+	}
+}
+
+// tuneCapped is the capped search as one loop per cap: walk the
+// candidates in order, skip those that cannot map the layer or stage
+// more than opt.MaxL2Bytes, and keep the first lowest score. price
+// stands in for the engine so the reference shares nothing with
+// fronts beyond the candidate list.
+func tuneCapped(layer tensor.Layer, cfg hw.Config, opt Options, price func(int) (*core.Result, error)) (Choice, bool) {
+	var best Choice
+	found := false
+	for i, df := range candidates(layer, cfg.NumPEs) {
+		r, err := price(i)
+		if err != nil {
+			continue
+		}
+		if opt.MaxL2Bytes > 0 && r.L2ReqBytes() > opt.MaxL2Bytes {
+			continue
+		}
+		s := score(opt.Objective, r)
+		if !found || s < best.Score {
+			best = Choice{Dataflow: df, Result: r, Score: s}
+			found = true
+		}
+	}
+	return best, found
+}
+
+// TestFrontBestMatchesCappedTune pins the tune-once front to the
+// per-cap search it replaces: on every GoogLeNet layer, under both
+// objectives and at every cap the fusion scheduler can ask for (none,
+// and 4 KiB·2^k up to 2 GiB) plus each candidate's own staging
+// requirement (a cap met exactly), Front.Best picks the same mapping
+// with the same score — ties included.
+func TestFrontBestMatchesCappedTune(t *testing.T) {
+	cfg := hw.Accel256().Normalize()
+	caps := []int64{0}
+	for c := int64(4 << 10); c <= 2<<30; c *= 2 {
+		caps = append(caps, c)
+	}
+	for _, li := range models.GoogLeNet().Layers {
+		l := li.Layer
+		cands := candidates(l, cfg.NumPEs)
+		type priced struct {
+			r   *core.Result
+			err error
+		}
+		memo := make([]priced, len(cands))
+		for i, df := range cands {
+			r, err := core.AnalyzeDataflow(df, l, cfg)
+			memo[i] = priced{r, err}
+		}
+		price := func(i int) (*core.Result, error) { return memo[i].r, memo[i].err }
+		for _, obj := range []Objective{MinRuntime, MinEDP} {
+			front := LayerFront(context.Background(), l, cfg, obj)
+			exact := append([]int64(nil), caps...)
+			seen := map[int64]bool{}
+			for _, e := range front {
+				if !seen[e.L2ReqBytes] {
+					seen[e.L2ReqBytes] = true
+					exact = append(exact, e.L2ReqBytes)
+				}
+			}
+			for _, c := range exact {
+				got, gotOK := front.Best(c)
+				want, wantOK := tuneCapped(l, cfg, Options{Objective: obj, MaxL2Bytes: c}, price)
+				if gotOK != wantOK || got.Dataflow.Name != want.Dataflow.Name || got.Score != want.Score {
+					t.Errorf("%s %s cap %d: front picked %q (%g, ok %v), capped tune %q (%g, ok %v)",
+						l.Name, obj, c, got.Dataflow.Name, got.Score, gotOK, want.Dataflow.Name, want.Score, wantOK)
+				}
+			}
 		}
 	}
 }

@@ -27,6 +27,8 @@
 package maestro
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/dataflow"
 	"repro/internal/dataflows"
@@ -324,14 +326,23 @@ const (
 	MinEDP     = tuner.MinEDP
 )
 
-// Tuner entry points.
-var (
-	TuneLayer = tuner.TuneLayer
-	// TuneLayerConfigs tunes one layer under several hardware variants,
-	// pricing each candidate across the variants in one batch walk.
-	TuneLayerConfigs = tuner.TuneLayerConfigs
-	TuneLayers       = tuner.TuneLayers
-)
+// TuneLayer returns the best mapping of the tuner's candidate space for
+// one layer.
+func TuneLayer(layer Layer, cfg HWConfig, opt TunerOptions) (TunerChoice, error) {
+	return tuner.TuneLayerCtx(context.Background(), layer, cfg, opt)
+}
+
+// TuneLayerConfigs tunes one layer under several hardware variants,
+// pricing each candidate across the variants in one batch walk.
+func TuneLayerConfigs(layer Layer, cfgs []HWConfig, opt TunerOptions) ([]TunerChoice, error) {
+	return tuner.TuneLayerConfigsCtx(context.Background(), layer, cfgs, opt)
+}
+
+// TuneLayers tunes a list of (layer, count) pairs and accumulates
+// totals.
+func TuneLayers(layers []Layer, counts []int, cfg HWConfig, opt TunerOptions) (tuner.ModelResult, error) {
+	return tuner.TuneLayersCtx(context.Background(), layers, counts, cfg, opt)
+}
 
 // Mapping-space search (loop orders x tilings x spatial dims; the class
 // of mapper the paper positions MAESTRO to drive).
